@@ -32,25 +32,9 @@ echo "== tier-1 tests (fused execution engine) =="
 FERRUM_ENGINE=fused PYTHONPATH=src python -m pytest tests -q -m "not perf" \
     || status=$?
 
-echo "== compose bit-identity (composed vs flat campaigns) =="
-# The compositional campaign must stay bit-identical to the flat one and
-# the section cache must hit across process boundaries; this surfaces the
-# contract explicitly even though the file is also part of tier-1.
-PYTHONPATH=src python -m pytest tests/faultinjection/test_compose_campaign.py \
-    -q || status=$?
-
-echo "== convergence early-exit (trail determinism + bit-identity) =="
-# Mirrors the CI tests-converge job: golden digest trails must fingerprint
-# identically across engines/processes, and converge=True campaigns must
-# stay byte-identical to plain ones through every execution strategy.
-PYTHONPATH=src python -m pytest tests/machine/test_converge.py \
-    tests/faultinjection/test_converge_campaign.py -q || status=$?
-
-echo "== dme detector gate (marker dme + service CLI smoke) =="
-# Mirrors the CI tests-dme job: the dme-marked suites (decorrelation
-# properties, campaign parity, the backend-site coverage gate) and an
-# end-to-end --techniques dme campaign through the durable service.
-PYTHONPATH=src python -m pytest tests -q -m dme || status=$?
+echo "== dme campaign smoke (durable service CLI) =="
+# Mirrors the CI tests-dme job: an end-to-end --techniques dme campaign
+# through the durable service, which no other stage runs.
 rm -rf dme-smoke
 PYTHONPATH=src python -m repro.evaluation.cli serve \
     --state-dir dme-smoke --workloads kmeans --techniques dme \

@@ -268,7 +268,6 @@ def run_telemetry(
     samples: int = 200,
     seed: int = 2024,
     scale: int = 1,
-    engine: str = "checkpoint",
     jsonl_path: str | None = None,
     config: FerrumConfig | None = None,
     converge: bool = False,
@@ -288,7 +287,7 @@ def run_telemetry(
     build = build_variants(get_workload(workload).source(scale),
                            names=variants, config=config)
     return run_campaign(build[technique].asm, samples, seed=seed,
-                        engine=engine, telemetry=True, jsonl_path=jsonl_path,
+                        telemetry=True, jsonl_path=jsonl_path,
                         converge=converge)
 
 
@@ -301,7 +300,6 @@ def run_compose(
     samples: int = 200,
     seed: int = 2024,
     scale: int = 1,
-    engine: str = "checkpoint",
     cache_dir: str | None = None,
     reinject: tuple[str, ...] = (),
     prune: bool = False,
@@ -325,7 +323,7 @@ def run_compose(
     build = build_variants(get_workload(workload).source(scale),
                            names=variants, config=config)
     return compose_campaign(
-        build[technique].asm, samples, seed=seed, engine=engine,
-        telemetry=True, jsonl_path=jsonl_path, prune=prune,
-        cache_dir=cache_dir, refresh=reinject, converge=converge,
+        build[technique].asm, samples, seed=seed, telemetry=True,
+        jsonl_path=jsonl_path, prune=prune, cache_dir=cache_dir,
+        refresh=reinject, converge=converge,
     )

@@ -6,20 +6,23 @@ aggregated into an :class:`OutcomeCounts` histogram. Sampling is fully
 deterministic from a seed; each run forks its own RNG stream, so campaigns
 are reproducible and embarrassingly parallel in structure.
 
-Two execution engines serve the same sampled plans:
+Every campaign path — flat assembly and IR campaigns, composed campaigns
+(:mod:`repro.faultinjection.compose`) and service shards
+(:mod:`repro.faultinjection.service`) — runs through one executor:
+plans → site-range shards → executor (in-process | fork pool) → ordered
+sink (site order, or run-index order under pruning). A *shard* is an
+entry snapshot (or program entry) plus its site-sorted plans;
+:func:`_serve` marches a cursor across the shard's checkpoint regions
+(:meth:`Machine.run_to_site`), and each injection restores its region's
+O(touched pages) snapshot and runs only its own suffix. A small target adapter (:class:`_ShardContext`) lets the same
+loop serve assembly programs and IR modules. With ``processes > 1`` the
+shards run on a fork pool whose workers inherit the campaign context; the
+results stream back in shard order, so records, stats and JSONL bytes do
+not depend on the process count. See ``docs/fault_model.md``.
 
-* ``engine="replay"`` — the classic protocol: every injection re-executes
-  the program from instruction 0, so campaign cost is ~N × full-run time
-  even though all runs share an identical golden prefix up to the fault
-  site.
-* ``engine="checkpoint"`` (default) — plans are sorted by dynamic site,
-  grouped into checkpoint regions, and the shared golden prefix is executed
-  exactly once: a cursor snapshot advances region to region
-  (:meth:`Machine.run_to_site`), and each injection restores the region's
-  O(touched pages) snapshot and runs only its own suffix. Outcomes are
-  bit-identical to the replay engine (plans are RNG-independent and
-  snapshots capture complete architectural state); only the execution
-  strategy changes. See ``docs/fault_model.md``.
+``engine="replay"`` is kept as the sequential reference oracle: a plain
+loop that re-executes every injection from instruction 0. The checkpoint
+engine (the default) is bit-identical to it.
 
 ``telemetry=True`` (or a ``jsonl_path``) additionally collects one
 :class:`FaultRecord` per fault — attribution, register/bit, detection
@@ -55,7 +58,7 @@ from repro.faultinjection.telemetry import (
 from repro.ir.interp import IRInterpreter
 from repro.ir.module import IRModule
 from repro.machine.converge import ConvergenceTrail, record_trail
-from repro.machine.cpu import Machine, MachineSnapshot
+from repro.machine.cpu import Machine
 from repro.utils.rng import DeterministicRng
 
 if TYPE_CHECKING:  # circular at runtime: compose builds on this module
@@ -230,8 +233,7 @@ def _checkpoint_schedule(
     ``interval=None`` checkpoints at every distinct fault site (zero
     fast-forward per injection); ``interval=K`` snapshots only at multiples
     of K sites, trading up to K-1 sites of fast-forward per injection for
-    fewer, coarser snapshots — the knob that matters when region snapshots
-    must be materialized simultaneously (the multiprocessing path).
+    fewer, coarser snapshots.
     """
     if interval is not None and interval < 1:
         raise InjectionError(f"checkpoint interval must be >= 1, got {interval}")
@@ -245,24 +247,24 @@ def _checkpoint_schedule(
 
 def _finish(
     result: CampaignResult,
-    results,
+    executed: list,
+    analysis: PruningAnalysis | None,
     telemetry: bool,
-    sink: JsonlSink | None,
-    streamed: bool,
 ) -> CampaignResult:
     """Fold per-run results into the campaign aggregate.
 
-    ``results`` is an iterable of (run_index, Outcome | FaultRecord); with
-    telemetry the records are kept sorted by run index and — unless the
-    sequential engine already ``streamed`` them — written to ``sink``.
+    ``executed`` holds (run_index, Outcome | FaultRecord) pairs; pruned
+    campaigns add the results the pruning pass avoided executing. With
+    telemetry the records are kept sorted by run index.
     """
+    results = executed
+    if analysis is not None:
+        results = executed + _expand_pruned(analysis, executed, telemetry)
     if telemetry:
         ordered = [record for _, record in sorted(results,
                                                   key=lambda pair: pair[0])]
         for record in ordered:
             result.outcomes.record(record.outcome)
-            if sink is not None and not streamed:
-                sink.write(record)
         result.records = ordered
     else:
         for _, outcome in results:
@@ -270,177 +272,132 @@ def _finish(
     return result
 
 
-def _checkpointed_asm_results(
-    program: AsmProgram,
-    plans: list[IndexedPlan],
-    golden,
-    function: str,
-    args: tuple[int, ...],
-    interval: int | None,
-    telemetry: bool = False,
-    stats: CheckpointStats | None = None,
-    sink=None,
-    machine: Machine | None = None,
-    cursor: MachineSnapshot | None = None,
-    trail=None,
-    conv_stats=None,
-) -> list:
-    """Serve all plans off one incremental golden-prefix pass (sequential).
+# -- the executor ----------------------------------------------------------
 
-    ``machine``/``cursor`` let compositional campaigns resume the pass from
-    a section-entry snapshot instead of program entry; the default (both
-    ``None``) executes the golden prefix from scratch, as flat campaigns do.
-    ``trail``/``conv_stats`` thread convergence early-exit through every
-    injection (see :func:`run_campaign`'s ``converge``).
+
+class _ShardContext:
+    """What every shard of one campaign shares: the target adapter.
+
+    Holds the program (assembly) or module (IR), its golden run, the entry
+    point, the checkpoint interval, the telemetry flag and the convergence
+    trail, plus one runner — a :class:`Machine` or :class:`IRInterpreter`
+    built once and reused by every cursor advance, restore and injection.
+    Pool workers inherit the parent's context through ``fork``.
     """
+
+    def __init__(self, target, golden, function, args, interval, telemetry,
+                 trail: ConvergenceTrail | None = None) -> None:
+        self.target = target
+        self.ir = isinstance(target, IRModule)
+        self.runner = IRInterpreter(target) if self.ir else Machine(target)
+        self.golden = golden
+        self.function = function
+        self.args = args
+        self.interval = interval
+        self.telemetry = telemetry
+        self.trail = trail
+
+    def advance(self, site: int, cursor):
+        """Run fault-free from ``cursor`` (or entry) and snapshot at ``site``."""
+        return self.runner.run_to_site(site, function=self.function,
+                                       args=self.args, resume_from=cursor)
+
+    def inject(self, plan: FaultPlan, cursor, run_index: int, conv_stats):
+        """One faulted run, resumed from ``cursor`` (``None``: instruction 0)."""
+        if self.ir:
+            return inject_ir_fault(self.target, plan, self.golden,
+                                   function=self.function, args=self.args,
+                                   interp=self.runner, resume_from=cursor,
+                                   telemetry=self.telemetry,
+                                   run_index=run_index)
+        return inject_asm_fault(self.target, plan, self.golden,
+                                function=self.function, args=self.args,
+                                machine=self.runner, resume_from=cursor,
+                                telemetry=self.telemetry, run_index=run_index,
+                                converge=self.trail,
+                                converge_stats=conv_stats)
+
+
+def _serve(ctx: _ShardContext, entry, plans: list[IndexedPlan], sink=None):
+    """Run one shard: its plans off a cursor marched from ``entry``.
+
+    ``entry`` is the snapshot the shard starts from (``None``: program
+    entry). The cursor advances checkpoint to checkpoint in site order, each
+    injection restores its region's snapshot, and each result is written to
+    ``sink`` the moment it exists. A cursor already at or past a region's
+    checkpoint (a shard or section entry) serves that region as is.
+
+    Returns ``(results, checkpoint_stats, convergence_stats)``; the stats
+    are this shard's alone, for the caller to merge.
+    """
+    stats = CheckpointStats() if ctx.telemetry else None
+    conv_stats = ConvergenceStats() if ctx.trail is not None else None
     results = []
-    if machine is None:
-        machine = Machine(program)
-    for checkpoint_site, region_plans in _checkpoint_schedule(plans, interval):
-        cursor = machine.run_to_site(checkpoint_site, function=function,
-                                     args=args, resume_from=cursor)
+    cursor = entry
+    for checkpoint_site, region_plans in _checkpoint_schedule(plans,
+                                                              ctx.interval):
+        if cursor is None or cursor.sites < checkpoint_site:
+            cursor = ctx.advance(checkpoint_site, cursor)
         if stats is not None:
             stats.note_snapshot(cursor)
         for run_index, plan in region_plans:
-            outcome = inject_asm_fault(program, plan, golden,
-                                       function=function, args=args,
-                                       machine=machine, resume_from=cursor,
-                                       telemetry=telemetry,
-                                       run_index=run_index,
-                                       converge=trail,
-                                       converge_stats=conv_stats)
+            outcome = ctx.inject(plan, cursor, run_index, conv_stats)
             if stats is not None:
                 stats.restores += 1
-                stats.fast_forward_sites += plan.site_index - checkpoint_site
-            if sink is not None and telemetry:
+                stats.fast_forward_sites += plan.site_index - cursor.sites
+            if sink is not None:
                 sink.write(outcome)
             results.append((run_index, outcome))
-    return results
+    return results, stats, conv_stats
 
 
-def _checkpointed_ir_results(
-    module: IRModule,
-    plans: list[IndexedPlan],
-    golden,
-    function: str,
-    args: tuple[int, ...],
-    interval: int | None,
-    telemetry: bool = False,
-    stats: CheckpointStats | None = None,
-    sink: JsonlSink | None = None,
-) -> list:
-    """IR twin of :func:`_checkpointed_asm_results`."""
-    results = []
-    interp = IRInterpreter(module)
+#: Shards cut per pool worker: enough to even out shards whose suffixes
+#: cost more, few enough that the parent holds only a handful of entry
+#: snapshots.
+SHARDS_PER_PROCESS = 4
+
+
+def _cut_shards(
+    ctx: _ShardContext, plans: list[IndexedPlan], processes: int
+) -> list[tuple[object, list[IndexedPlan]]]:
+    """Cut a campaign into site-range shards of whole checkpoint regions.
+
+    One process serves the campaign as a single shard from program entry.
+    Otherwise the checkpoint schedule is cut into ``processes *
+    SHARDS_PER_PROCESS`` runs of regions, and one cursor pass takes each
+    shard's entry snapshot at its first checkpoint. A region is never split,
+    so every checkpoint snapshot is taken once, and the shards in order
+    serve the plans in exactly the sequential order.
+    """
+    if processes == 1:
+        return [(None, plans)]
+    regions = _checkpoint_schedule(plans, ctx.interval)
+    per_shard = max(1, -(-len(regions) // (processes * SHARDS_PER_PROCESS)))
+    shards = []
     cursor = None
-    for checkpoint_site, region_plans in _checkpoint_schedule(plans, interval):
-        cursor = interp.run_to_site(checkpoint_site, function=function,
-                                    args=args, resume_from=cursor)
-        if stats is not None:
-            stats.note_snapshot(cursor)
-        for run_index, plan in region_plans:
-            outcome = inject_ir_fault(module, plan, golden, function=function,
-                                      args=args, interp=interp,
-                                      resume_from=cursor, telemetry=telemetry,
-                                      run_index=run_index)
-            if stats is not None:
-                stats.restores += 1
-                stats.fast_forward_sites += plan.site_index - checkpoint_site
-            if sink is not None and telemetry:
-                sink.write(outcome)
-            results.append((run_index, outcome))
-    return results
+    for start in range(0, len(regions), per_shard):
+        group = regions[start:start + per_shard]
+        cursor = ctx.advance(group[0][0], cursor)
+        shards.append((cursor, [indexed for _, region in group
+                                for indexed in region]))
+    return shards
 
 
-#: State inherited by forked campaign workers (see ``run_campaign``).
-_PARALLEL_STATE: dict = {}
+#: ``(context, shards)`` of the pool a worker process belongs to, set by
+#: :func:`_init_worker` in each worker; the parent never sets it.
+_WORKER: tuple | None = None
 
 
-def _parallel_inject(indexed: IndexedPlan):
-    state = _PARALLEL_STATE
-    run_index, plan = indexed
-    return run_index, inject_asm_fault(
-        state["program"], plan, state["golden"],
-        function=state["function"], args=state["args"],
-        telemetry=state["telemetry"], run_index=run_index,
-    )
+def _init_worker(*state) -> None:
+    global _WORKER
+    _WORKER = state
 
 
-def _parallel_inject_region(region_index: int) -> list:
-    """Worker for the checkpoint-aware pool: one restore-base per region."""
-    state = _PARALLEL_STATE
-    snapshot, region_plans = state["regions"][region_index]
-    machine = state["machine"]
-    return [
-        (run_index,
-         inject_asm_fault(state["program"], plan, state["golden"],
-                          function=state["function"], args=state["args"],
-                          machine=machine, resume_from=snapshot,
-                          telemetry=state["telemetry"], run_index=run_index))
-        for run_index, plan in region_plans
-    ]
-
-
-def _parallel_inject_converge(indexed: IndexedPlan):
-    """Replay-engine worker with convergence early-exit.
-
-    Returns ``((run_index, outcome), stats)`` so the parent can merge the
-    per-run :class:`ConvergenceStats` deterministically (all fields are
-    order-independent sums). Kept separate from :func:`_parallel_inject`
-    so non-converge campaigns keep their exact result shape.
-    """
-    state = _PARALLEL_STATE
-    run_index, plan = indexed
-    stats = ConvergenceStats()
-    outcome = inject_asm_fault(
-        state["program"], plan, state["golden"],
-        function=state["function"], args=state["args"],
-        telemetry=state["telemetry"], run_index=run_index,
-        converge=state["trail"], converge_stats=stats,
-    )
-    return (run_index, outcome), stats
-
-
-def _parallel_inject_region_converge(region_index: int):
-    """Checkpoint-engine region worker with convergence early-exit."""
-    state = _PARALLEL_STATE
-    snapshot, region_plans = state["regions"][region_index]
-    machine = state["machine"]
-    stats = ConvergenceStats()
-    pairs = [
-        (run_index,
-         inject_asm_fault(state["program"], plan, state["golden"],
-                          function=state["function"], args=state["args"],
-                          machine=machine, resume_from=snapshot,
-                          telemetry=state["telemetry"], run_index=run_index,
-                          converge=state["trail"], converge_stats=stats))
-        for run_index, plan in region_plans
-    ]
-    return pairs, stats
-
-
-def _parallel_inject_ir(indexed: IndexedPlan):
-    state = _PARALLEL_STATE
-    run_index, plan = indexed
-    return run_index, inject_ir_fault(
-        state["module"], plan, state["golden"],
-        function=state["function"], args=state["args"],
-        telemetry=state["telemetry"], run_index=run_index,
-    )
-
-
-def _parallel_inject_ir_region(region_index: int) -> list:
-    state = _PARALLEL_STATE
-    snapshot, region_plans = state["regions"][region_index]
-    interp = state["interp"]
-    return [
-        (run_index,
-         inject_ir_fault(state["module"], plan, state["golden"],
-                         function=state["function"], args=state["args"],
-                         interp=interp, resume_from=snapshot,
-                         telemetry=state["telemetry"], run_index=run_index))
-        for run_index, plan in region_plans
-    ]
+def _serve_shard(index: int):
+    """Pool task: serve shard ``index`` of the inherited campaign."""
+    ctx, shards = _WORKER
+    entry, plans = shards[index]
+    return _serve(ctx, entry, plans)
 
 
 def _fork_context():
@@ -460,35 +417,174 @@ def _fork_context():
         return None
 
 
-def _pooled(context, processes: int, worker, tasks, chunksize: int) -> list:
-    """Map over a pool, always clearing the inherited-state global.
+def _pooled(context, processes: int, worker, tasks, initargs=()):
+    """Map ``worker`` over ``tasks`` on a fork pool, yielding in task order.
 
-    Results are collected incrementally (``imap`` preserves task order, so
-    the returned list is identical to ``pool.map``'s). A worker exception
-    no longer silently discards every completed task's results: it is
-    re-raised as an :class:`InjectionError` naming how many tasks had
-    completed, with the partial results attached as
-    ``error.partial_results`` so callers can salvage them. The
-    inherited-state global is cleared on every exit path — success, worker
-    failure, or pool construction failure.
+    Each worker runs :func:`_init_worker` with ``initargs``, which under
+    ``fork`` are inherited, never pickled. Results stream back one task at
+    a time (``imap``). A worker exception is re-raised as an
+    :class:`InjectionError` naming how many tasks had completed, with the
+    completed results attached as ``error.partial_results``.
     """
     tasks = list(tasks)
-    results: list = []
+    done: list = []
+    with context.Pool(processes, initializer=_init_worker,
+                      initargs=initargs) as pool:
+        try:
+            for item in pool.imap(worker, tasks):
+                done.append(item)
+                yield item
+        except Exception as exc:
+            error = InjectionError(
+                f"campaign worker failed after {len(done)}/{len(tasks)}"
+                f" tasks completed: {type(exc).__name__}: {exc}"
+            )
+            error.partial_results = done
+            raise error from exc
+
+
+def _execute(
+    ctx: _ShardContext,
+    shards: list,
+    processes: int,
+    result: CampaignResult,
+    sink=None,
+) -> list[list]:
+    """Serve ``shards`` in order; the one executor of every campaign path.
+
+    With one process (or no ``fork``) the shards run in this process and
+    stream their records into ``sink``; otherwise a fork pool serves them
+    and the parent writes each shard's records as it arrives, in shard
+    order, so the sink sees the same sequence either way. Shard stats merge
+    into ``result``. Returns each shard's (run_index, result) pairs.
+    """
+    context = (_fork_context()
+               if processes > 1 and len(shards) > 1 else None)
+    if context is None:
+        served = (_serve(ctx, entry, plans, sink) for entry, plans in shards)
+    else:
+        served = _pooled(context, processes, _serve_shard,
+                         range(len(shards)), initargs=(ctx, shards))
+    per_shard = []
+    for pairs, stats, conv_stats in served:
+        if context is not None and sink is not None:
+            for _, record in pairs:
+                sink.write(record)
+        if stats is not None:
+            result.checkpoint_stats.merge(stats)
+        if conv_stats is not None:
+            result.convergence_stats.merge(conv_stats)
+        per_shard.append(pairs)
+    return per_shard
+
+
+def _validate(
+    checkpoint_interval: int | None,
+    jsonl_mode: str,
+    processes: int,
+    engine: str = "checkpoint",
+) -> None:
+    """Reject bad campaign arguments before any work runs."""
+    if engine not in ENGINES:
+        raise InjectionError(f"unknown engine {engine!r}; known: {ENGINES}")
+    if checkpoint_interval is not None and checkpoint_interval < 1:
+        raise InjectionError(
+            f"checkpoint interval must be >= 1, got {checkpoint_interval}"
+        )
+    if jsonl_mode not in ("w", "a"):
+        raise InjectionError(
+            f"jsonl_mode must be 'w' (truncate) or 'a' (append), "
+            f"got {jsonl_mode!r}"
+        )
+    if processes < 1:
+        raise InjectionError(f"processes must be >= 1, got {processes}")
+    if engine == "replay" and processes > 1:
+        raise InjectionError(
+            "engine='replay' is the sequential reference oracle; "
+            "use the checkpoint engine for processes > 1"
+        )
+
+
+def _draw(golden, samples: int, seed: int):
+    """The campaign result shell and its sampled plans, by run index."""
+    result = CampaignResult(
+        samples=samples,
+        fault_sites=golden.fault_sites,
+        dynamic_instructions=golden.dynamic_instructions,
+    )
+    rng = DeterministicRng(seed)
+    plans: list[IndexedPlan] = [
+        (run_index, FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
+        for run_index in range(samples)
+    ]
+    return result, plans
+
+
+def _draw_asm(program, golden, samples, seed, function, args, telemetry,
+              prune, converge, converge_interval):
+    """:func:`_draw` for assembly, plus the optional prune pass and trail.
+
+    Returns ``(result, plans, analysis, trail)``: under ``prune`` the plans
+    are the ones left to execute, and ``analysis`` serves the rest.
+    """
+    result, plans = _draw(golden, samples, seed)
+    analysis = None
+    if prune:
+        analysis = analyze_plans(program, plans, function=function, args=args,
+                                 telemetry=telemetry)
+        plans = analysis.to_execute
+        result.pruning_stats = analysis.stats
+    trail: ConvergenceTrail | None = None
+    if converge:
+        trail = record_trail(program, golden, function=function, args=args,
+                             interval=converge_interval)
+        result.convergence_stats = ConvergenceStats()
+    return result, plans, analysis, trail
+
+
+def _stream(sink: JsonlSink | None, analysis: PruningAnalysis | None):
+    """Where executed records go: the sink, or its run-order buffer."""
+    if sink is not None and analysis is not None:
+        return _RunOrderedWriter(sink, analysis)
+    return sink
+
+
+def _run(
+    ctx: _ShardContext,
+    result: CampaignResult,
+    plans: list[IndexedPlan],
+    engine: str,
+    processes: int,
+    jsonl_path,
+    jsonl_mode: str,
+    analysis: PruningAnalysis | None = None,
+) -> CampaignResult:
+    """Execute a flat campaign's plans and fold the results."""
+    sink = (JsonlSink(jsonl_path, mode=jsonl_mode)
+            if jsonl_path is not None else None)
     try:
-        with context.Pool(processes) as pool:
-            try:
-                for item in pool.imap(worker, tasks, chunksize=chunksize):
-                    results.append(item)
-            except Exception as exc:
-                error = InjectionError(
-                    f"campaign worker failed after {len(results)}/{len(tasks)}"
-                    f" tasks completed: {type(exc).__name__}: {exc}"
-                )
-                error.partial_results = results
-                raise error from exc
-        return results
+        stream = _stream(sink, analysis)
+        if engine == "replay":
+            # The sequential reference: every run from instruction 0.
+            executed = []
+            for run_index, plan in plans:
+                outcome = ctx.inject(plan, None, run_index,
+                                     result.convergence_stats)
+                if stream is not None:
+                    stream.write(outcome)
+                executed.append((run_index, outcome))
+        else:
+            if ctx.telemetry:
+                result.checkpoint_stats = CheckpointStats()
+            shards = _cut_shards(ctx, plans, processes)
+            executed = [pair
+                        for pairs in _execute(ctx, shards, processes, result,
+                                              stream)
+                        for pair in pairs]
+        return _finish(result, executed, analysis, ctx.telemetry)
     finally:
-        _PARALLEL_STATE.clear()
+        if sink is not None:
+            sink.close()
 
 
 def run_campaign(
@@ -516,22 +612,23 @@ def run_campaign(
     ``engine`` selects the execution strategy (see the module docstring);
     both produce bit-identical :class:`OutcomeCounts` for the same seed.
     ``checkpoint_interval`` (checkpoint engine only) snapshots every K
-    sites instead of at every served site. ``processes > 1`` fans the
-    (independent) runs out over forked worker processes — sharded by
-    checkpoint region under the checkpoint engine, so each worker restores
-    from its region snapshot rather than replaying the prefix; results are
-    identical to the sequential order because every run derives its own RNG
-    stream from the seed. Where ``fork`` is unavailable the campaign runs
-    sequentially instead of crashing.
+    sites instead of at every served site. ``processes > 1`` cuts the
+    checkpoint schedule into site-range shards served by forked worker
+    processes, each restoring from its shard's entry snapshot rather than
+    replaying the prefix; results, stats and JSONL bytes are identical to
+    the sequential run because every run derives its own RNG stream from
+    the seed and shards stream back in order. Where ``fork`` is
+    unavailable the shards run in-process. The replay engine is the
+    sequential reference and rejects ``processes > 1``.
 
     ``telemetry=True`` collects one :class:`FaultRecord` per fault into
     ``result.records`` (and fills ``result.checkpoint_stats`` under the
     checkpoint engine); ``jsonl_path`` implies telemetry and streams the
-    records to disk as JSONL — incrementally in sequential engines, after
-    collection in multiprocessing ones. ``jsonl_mode="a"`` appends to an
-    existing file instead of truncating, so multi-invocation workflows can
-    accumulate one stream. Outcome counts are bit-identical with telemetry
-    on or off.
+    records to disk as JSONL as they complete — in site order, or run-index
+    order under ``prune``. ``jsonl_mode="a"`` appends to an existing file
+    instead of truncating, so multi-invocation workflows can accumulate one
+    stream. Outcome counts are bit-identical with telemetry on or off.
+    Arguments are validated before the golden run.
 
     ``prune=True`` runs the outcome-equivalence pass
     (:mod:`repro.faultinjection.equivalence`) first: plans whose outcome is
@@ -552,139 +649,19 @@ def run_campaign(
     spacing in fault sites (default: :func:`repro.machine.converge.
     trail_interval`). Composes with ``prune`` (static pruning removes
     runs, convergence shortens the surviving ones) and with both engines
-    and any process count — the trail is recorded once pre-fork and
-    inherited by workers.
+    and any process count — the trail is recorded once and inherited by
+    pool workers.
     """
-    if engine not in ENGINES:
-        raise InjectionError(f"unknown engine {engine!r}; known: {ENGINES}")
+    _validate(checkpoint_interval, jsonl_mode, processes, engine)
     telemetry = telemetry or jsonl_path is not None
     golden = Machine(program).run(function=function, args=args)
-    result = CampaignResult(
-        samples=samples,
-        fault_sites=golden.fault_sites,
-        dynamic_instructions=golden.dynamic_instructions,
-    )
-    rng = DeterministicRng(seed)
-    plans: list[IndexedPlan] = [
-        (run_index, FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
-        for run_index in range(samples)
-    ]
-    analysis = None
-    if prune:
-        analysis = analyze_plans(program, plans, function=function, args=args,
-                                 telemetry=telemetry)
-        plans = analysis.to_execute
-        result.pruning_stats = analysis.stats
-    trail: ConvergenceTrail | None = None
-    conv_stats: ConvergenceStats | None = None
-    if converge:
-        trail = record_trail(program, golden, function=function, args=args,
-                             interval=converge_interval)
-        conv_stats = ConvergenceStats()
-        result.convergence_stats = conv_stats
-    stats = CheckpointStats() if telemetry and engine == "checkpoint" else None
-    result.checkpoint_stats = stats
-    context = _fork_context() if processes > 1 else None
-    parallel = processes > 1 and context is not None
-    sink = _open_sink(jsonl_path, jsonl_mode)
-    # Sequential pruned campaigns stream through a run-index reorder buffer:
-    # executed records release as they complete, synthesized and duplicate
-    # records interleave at their run indices, and the file ends up
-    # byte-identical to the buffered (sorted-by-run-index) order.
-    streamer = None
-    stream_sink = sink
-    if analysis is not None and sink is not None and not parallel:
-        streamer = _RunOrderedWriter(sink, analysis)
-        stream_sink = streamer
-
-    def _complete(results, streamed: bool) -> CampaignResult:
-        if analysis is not None:
-            executed = list(results)
-            results = executed + _expand_pruned(analysis, executed, telemetry)
-            streamed = streamed and streamer is not None
-        return _finish(result, results, telemetry, sink, streamed)
-
-    try:
-        if parallel:
-            if engine == "checkpoint":
-                machine = Machine(program)
-                regions = []
-                cursor = None
-                for site, region_plans in _checkpoint_schedule(
-                    plans, checkpoint_interval
-                ):
-                    cursor = machine.run_to_site(site, function=function,
-                                                 args=args, resume_from=cursor)
-                    if stats is not None:
-                        stats.note_snapshot(cursor)
-                        stats.restores += len(region_plans)
-                        stats.fast_forward_sites += sum(
-                            plan.site_index - site for _, plan in region_plans
-                        )
-                    regions.append((cursor, region_plans))
-                _PARALLEL_STATE.update(
-                    program=program, golden=golden, function=function,
-                    args=args, machine=machine, regions=regions,
-                    telemetry=telemetry,
-                )
-                if trail is not None:
-                    _PARALLEL_STATE.update(trail=trail)
-                    per_region = _pooled(context, processes,
-                                         _parallel_inject_region_converge,
-                                         range(len(regions)), chunksize=1)
-                    results = []
-                    for pairs, worker_stats in per_region:
-                        results.extend(pairs)
-                        conv_stats.merge(worker_stats)
-                else:
-                    per_region = _pooled(context, processes,
-                                         _parallel_inject_region,
-                                         range(len(regions)), chunksize=1)
-                    results = [pair for region in per_region
-                               for pair in region]
-            else:
-                _PARALLEL_STATE.update(
-                    program=program, golden=golden, function=function,
-                    args=args, telemetry=telemetry,
-                )
-                if trail is not None:
-                    _PARALLEL_STATE.update(trail=trail)
-                    per_run = _pooled(context, processes,
-                                      _parallel_inject_converge, plans,
-                                      chunksize=8)
-                    results = []
-                    for pair, worker_stats in per_run:
-                        results.append(pair)
-                        conv_stats.merge(worker_stats)
-                else:
-                    results = _pooled(context, processes, _parallel_inject,
-                                      plans, chunksize=8)
-            return _complete(results, streamed=False)
-
-        if engine == "checkpoint":
-            results = _checkpointed_asm_results(
-                program, plans, golden, function, args, checkpoint_interval,
-                telemetry=telemetry, stats=stats, sink=stream_sink,
-                trail=trail, conv_stats=conv_stats,
-            )
-            return _complete(results, streamed=True)
-
-        machine = Machine(program)
-        results = []
-        for run_index, plan in plans:
-            outcome = inject_asm_fault(program, plan, golden,
-                                       function=function, args=args,
-                                       machine=machine, telemetry=telemetry,
-                                       run_index=run_index,
-                                       converge=trail,
-                                       converge_stats=conv_stats)
-            if stream_sink is not None and telemetry:
-                stream_sink.write(outcome)
-            results.append((run_index, outcome))
-        return _complete(results, streamed=True)
-    finally:
-        if sink is not None:
-            sink.close()
+    result, plans, analysis, trail = _draw_asm(
+        program, golden, samples, seed, function, args, telemetry, prune,
+        converge, converge_interval)
+    ctx = _ShardContext(program, golden, function, args, checkpoint_interval,
+                        telemetry, trail)
+    return _run(ctx, result, plans, engine, processes, jsonl_path, jsonl_mode,
+                analysis)
 
 
 def run_ir_campaign(
@@ -717,8 +694,7 @@ def run_ir_campaign(
     IR interpreter does not expose — both raise :class:`InjectionError`
     instead of a bare ``TypeError``.
     """
-    if engine not in ENGINES:
-        raise InjectionError(f"unknown engine {engine!r}; known: {ENGINES}")
+    _validate(checkpoint_interval, jsonl_mode, processes, engine)
     if converge:
         raise InjectionError(
             "convergence early-exit is assembly-level only: the digest "
@@ -737,75 +713,7 @@ def run_ir_campaign(
         )
     telemetry = telemetry or jsonl_path is not None
     golden = IRInterpreter(module).run(function=function, args=args)
-    result = CampaignResult(
-        samples=samples,
-        fault_sites=golden.fault_sites,
-        dynamic_instructions=golden.dynamic_instructions,
-    )
-    rng = DeterministicRng(seed)
-    plans: list[IndexedPlan] = [
-        (run_index, FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
-        for run_index in range(samples)
-    ]
-    stats = CheckpointStats() if telemetry and engine == "checkpoint" else None
-    result.checkpoint_stats = stats
-    sink = _open_sink(jsonl_path, jsonl_mode)
-
-    try:
-        context = _fork_context() if processes > 1 else None
-        if processes > 1 and context is not None:
-            if engine == "checkpoint":
-                interp = IRInterpreter(module)
-                regions = []
-                cursor = None
-                for site, region_plans in _checkpoint_schedule(
-                    plans, checkpoint_interval
-                ):
-                    cursor = interp.run_to_site(site, function=function,
-                                                args=args, resume_from=cursor)
-                    if stats is not None:
-                        stats.note_snapshot(cursor)
-                        stats.restores += len(region_plans)
-                        stats.fast_forward_sites += sum(
-                            plan.site_index - site for _, plan in region_plans
-                        )
-                    regions.append((cursor, region_plans))
-                _PARALLEL_STATE.update(
-                    module=module, golden=golden, function=function,
-                    args=args, interp=interp, regions=regions,
-                    telemetry=telemetry,
-                )
-                per_region = _pooled(context, processes,
-                                     _parallel_inject_ir_region,
-                                     range(len(regions)), chunksize=1)
-                results = [pair for region in per_region for pair in region]
-            else:
-                _PARALLEL_STATE.update(
-                    module=module, golden=golden, function=function,
-                    args=args, telemetry=telemetry,
-                )
-                results = _pooled(context, processes, _parallel_inject_ir,
-                                  plans, chunksize=8)
-            return _finish(result, results, telemetry, sink, streamed=False)
-
-        if engine == "checkpoint":
-            results = _checkpointed_ir_results(
-                module, plans, golden, function, args, checkpoint_interval,
-                telemetry=telemetry, stats=stats, sink=sink,
-            )
-            return _finish(result, results, telemetry, sink, streamed=True)
-
-        interp = IRInterpreter(module)
-        results = []
-        for run_index, plan in plans:
-            outcome = inject_ir_fault(module, plan, golden,
-                                      function=function, args=args,
-                                      interp=interp, telemetry=telemetry,
-                                      run_index=run_index)
-            if sink is not None and telemetry:
-                sink.write(outcome)
-            results.append((run_index, outcome))
-        return _finish(result, results, telemetry, sink, streamed=True)
-    finally:
-        if sink is not None:
-            sink.close()
+    result, plans = _draw(golden, samples, seed)
+    ctx = _ShardContext(module, golden, function, args, checkpoint_interval,
+                        telemetry)
+    return _run(ctx, result, plans, engine, processes, jsonl_path, jsonl_mode)

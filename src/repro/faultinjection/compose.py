@@ -4,16 +4,20 @@ A flat :func:`repro.faultinjection.campaign.run_campaign` re-injects into
 the whole dynamic trace from scratch on every run. This module partitions
 the trace into *sections* — maximal contiguous runs of dynamic fault sites
 whose instructions belong to one region (a function body, or an innermost
-loop nest inside it; see :func:`repro.asm.analysis.loop_regions`) — runs a
-per-section injection sub-campaign off a shared prefix snapshot
-(:meth:`Machine.run_to_site` cursors chained section to section), and
-composes the per-section outcome counts back into whole-program rates.
+loop nest inside it; see :func:`repro.asm.analysis.loop_regions`) — and
+treats composition as a keying policy over the campaign executor: each
+section that misses the cache is one shard of
+:mod:`repro.faultinjection.campaign`'s executor, entered from a shared
+prefix snapshot (:meth:`Machine.run_to_site` cursors chained section to
+section), and the per-section outcome counts compose back into
+whole-program rates.
 
 **Exactness.** The composition is not an approximation: the campaign draws
 the *same* global plans a flat campaign with the same seed would draw and
 merely routes each plan to the section that owns its site, so composed
-counts, per-origin maps and telemetry records are bit-identical to the
-flat campaign, with any execution engine and with ``prune=True``.
+counts, per-origin maps, telemetry records and JSONL bytes are
+bit-identical to the flat campaign, for any process count and with
+``prune=True``.
 
 **Incrementality.** Section results are cached on disk, content-addressed
 by a hash of (section code bytes including transitively called functions,
@@ -48,33 +52,23 @@ from repro.asm.printer import format_instruction
 from repro.asm.program import AsmProgram
 from repro.errors import InjectionError
 from repro.faultinjection.campaign import (
-    ENGINES,
     CampaignResult,
     IndexedPlan,
     _checkpoint_schedule,
-    _checkpointed_asm_results,
-    _expand_pruned,
+    _draw_asm,
+    _execute,
     _finish,
-    _fork_context,
-    _open_sink,
-    _PARALLEL_STATE,
-    _parallel_inject,
-    _parallel_inject_converge,
-    _parallel_inject_region,
-    _parallel_inject_region_converge,
-    _pooled,
+    _ShardContext,
+    _stream,
+    _validate,
 )
-from repro.faultinjection.equivalence import analyze_plans
-from repro.faultinjection.injector import FaultPlan, inject_asm_fault
 from repro.faultinjection.outcome import Outcome
 from repro.faultinjection.telemetry import (
     CheckpointStats,
-    ConvergenceStats,
     FaultRecord,
+    JsonlSink,
 )
-from repro.machine.converge import ConvergenceTrail, record_trail
 from repro.machine.cpu import Machine, MachineSnapshot
-from repro.utils.rng import DeterministicRng
 
 #: Bumped whenever the on-disk entry layout or key derivation changes;
 #: entries from other versions are treated as misses, never as errors.
@@ -478,7 +472,6 @@ def compose_campaign(
     function: str = "main",
     args: tuple[int, ...] = (),
     processes: int = 1,
-    engine: str = "checkpoint",
     checkpoint_interval: int | None = None,
     telemetry: bool = False,
     jsonl_path=None,
@@ -495,11 +488,11 @@ def compose_campaign(
     :func:`~repro.faultinjection.campaign.run_campaign` with the same
     ``samples``/``seed`` would draw, routes each plan to the section owning
     its fault site, serves each populated section from the
-    content-addressed ``cache_dir`` (when given) or by executing its
-    sub-campaign from the section-entry snapshot, and composes the results.
-    Outcome counts, per-origin maps and telemetry records are bit-identical
-    to the flat campaign for every ``engine``, ``processes`` count and
-    ``prune`` setting.
+    content-addressed ``cache_dir`` (when given) or by executing it as one
+    shard of the campaign executor, starting from the section-entry
+    snapshot, and composes the results. Outcome counts, per-origin maps and
+    telemetry records are bit-identical to the flat campaign for any
+    ``processes`` count and ``prune`` setting.
 
     ``refresh`` names functions whose sections must re-execute even on a
     cache hit (the incremental re-protection workflow: after editing one
@@ -507,9 +500,8 @@ def compose_campaign(
     ``result.compose_stats`` reports the partition and cache economics.
 
     JSONL output (``jsonl_path``/``jsonl_mode``) is written in the flat
-    campaign's order — site order for plain campaigns (matching the
-    sequential checkpoint engine's stream), run-index order under
-    ``prune=True`` — so files are byte-comparable to flat ones.
+    campaign's order — site order for plain campaigns, run-index order
+    under ``prune=True`` — so files are byte-comparable to flat ones.
 
     ``converge=True`` adds convergence early-exit (see
     :func:`~repro.faultinjection.campaign.run_campaign`): one golden
@@ -521,8 +513,7 @@ def compose_campaign(
     no monitor counters). ``converge_interval`` overrides the boundary
     spacing.
     """
-    if engine not in ENGINES:
-        raise InjectionError(f"unknown engine {engine!r}; known: {ENGINES}")
+    _validate(checkpoint_interval, jsonl_mode, processes)
     telemetry = telemetry or jsonl_path is not None
     for name in refresh:
         if not program.has_function(name):
@@ -533,36 +524,18 @@ def compose_campaign(
     index = _ProgramIndex(program)
     golden, sections, site_uids = _trace_sections(program, function, args,
                                                   index)
-    result = CampaignResult(
-        samples=samples,
-        fault_sites=golden.fault_sites,
-        dynamic_instructions=golden.dynamic_instructions,
-    )
-    rng = DeterministicRng(seed)
-    plans: list[IndexedPlan] = [
-        (run_index, FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
-        for run_index in range(samples)
-    ]
-    analysis = None
-    if prune:
-        analysis = analyze_plans(program, plans, function=function, args=args,
-                                 telemetry=telemetry)
-        plans = analysis.to_execute
-        result.pruning_stats = analysis.stats
-    trail: ConvergenceTrail | None = None
-    conv_stats: ConvergenceStats | None = None
-    if converge:
-        trail = record_trail(program, golden, function=function, args=args,
-                             interval=converge_interval)
-        conv_stats = ConvergenceStats()
-        result.convergence_stats = conv_stats
+    result, plans, analysis, trail = _draw_asm(
+        program, golden, samples, seed, function, args, telemetry, prune,
+        converge, converge_interval)
     trail_fp = trail.fingerprint() if trail is not None else None
-    stats = CheckpointStats() if telemetry and engine == "checkpoint" else None
+    stats = CheckpointStats() if telemetry else None
     result.checkpoint_stats = stats
     compose_stats = ComposeStats(sections=len(sections))
     result.compose_stats = compose_stats
     cache = SectionCache(cache_dir) if cache_dir is not None else None
     refresh_set = set(refresh)
+    ctx = _ShardContext(program, golden, function, args, checkpoint_interval,
+                        telemetry, trail)
 
     routed = _route_plans(sections, plans)
     populated = [
@@ -572,16 +545,14 @@ def compose_campaign(
     ]
     compose_stats.populated_sections = len(populated)
 
-    # Pass 1 — advance one cursor machine through every populated section
-    # entry (the shared golden prefix executes exactly once), fingerprint
-    # each entry state, and resolve cache hits.
-    machine = Machine(program)
+    # Pass 1 — advance one cursor through every populated section entry
+    # (the shared golden prefix executes exactly once), fingerprint each
+    # entry state, and resolve cache hits.
     cursor = None
     section_results: dict[int, list] = {}
     pending: list[tuple[Section, list[IndexedPlan], str, MachineSnapshot]] = []
     for section, section_plans in populated:
-        cursor = machine.run_to_site(section.start_site, function=function,
-                                     args=args, resume_from=cursor)
+        cursor = ctx.advance(section.start_site, cursor)
         if stats is not None:
             stats.note_snapshot(cursor)
         key = _section_key(index, section, _snapshot_fingerprint(cursor),
@@ -604,122 +575,32 @@ def compose_campaign(
             compose_stats.cache_misses += 1
             pending.append((section, section_plans, key, cursor))
 
-    # Pass 2 — execute the missing sections' sub-campaigns.
-    context = _fork_context() if processes > 1 and pending else None
-    if context is not None and engine == "checkpoint":
-        regions = []
-        owners: list[int] = []
-        for section, section_plans, _key, snapshot in pending:
-            sub_cursor = snapshot
-            for site, region_plans in _checkpoint_schedule(
-                section_plans, checkpoint_interval
-            ):
-                sub_cursor = machine.run_to_site(site, function=function,
-                                                 args=args,
-                                                 resume_from=sub_cursor)
-                if stats is not None:
-                    stats.note_snapshot(sub_cursor)
-                    stats.restores += len(region_plans)
-                    stats.fast_forward_sites += sum(
-                        plan.site_index - site for _, plan in region_plans
-                    )
-                regions.append((sub_cursor, region_plans))
-                owners.append(section.index)
-        _PARALLEL_STATE.update(
-            program=program, golden=golden, function=function,
-            args=args, machine=machine, regions=regions, telemetry=telemetry,
-        )
-        if trail is not None:
-            _PARALLEL_STATE.update(trail=trail)
-            per_region = _pooled(context, processes,
-                                 _parallel_inject_region_converge,
-                                 range(len(regions)), chunksize=1)
-            for owner, (region_results, worker_stats) in zip(owners,
-                                                             per_region):
-                section_results.setdefault(owner, []).extend(region_results)
-                conv_stats.merge(worker_stats)
-        else:
-            per_region = _pooled(context, processes, _parallel_inject_region,
-                                 range(len(regions)), chunksize=1)
-            for owner, region_results in zip(owners, per_region):
-                section_results.setdefault(owner, []).extend(region_results)
-    elif context is not None:
-        tasks = [pair for _, section_plans, _, _ in pending
-                 for pair in section_plans]
-        owner_of = {
-            run_index: section.index
-            for section, section_plans, _, _ in pending
-            for run_index, _ in section_plans
-        }
-        _PARALLEL_STATE.update(
-            program=program, golden=golden, function=function,
-            args=args, telemetry=telemetry,
-        )
-        if trail is not None:
-            _PARALLEL_STATE.update(trail=trail)
-            pairs = _pooled(context, processes, _parallel_inject_converge,
-                            tasks, chunksize=8)
-            for (run_index, payload), worker_stats in pairs:
-                section_results.setdefault(owner_of[run_index], []).append(
-                    (run_index, payload)
-                )
-                conv_stats.merge(worker_stats)
-        else:
-            flat = _pooled(context, processes, _parallel_inject, tasks,
-                           chunksize=8)
-            for run_index, payload in flat:
-                section_results.setdefault(owner_of[run_index], []).append(
-                    (run_index, payload)
-                )
-    else:
-        for section, section_plans, _key, snapshot in pending:
-            if engine == "checkpoint":
-                executed = _checkpointed_asm_results(
-                    program, section_plans, golden, function, args,
-                    checkpoint_interval, telemetry=telemetry, stats=stats,
-                    machine=machine, cursor=snapshot,
-                    trail=trail, conv_stats=conv_stats,
-                )
-            else:
-                executed = []
-                for run_index, plan in section_plans:
-                    executed.append((run_index, inject_asm_fault(
-                        program, plan, golden, function=function, args=args,
-                        machine=machine, telemetry=telemetry,
-                        run_index=run_index,
-                        converge=trail, converge_stats=conv_stats,
-                    )))
-            section_results[section.index] = executed
-
-    for section, section_plans, key, _snapshot in pending:
-        executed = section_results[section.index]
-        compose_stats.executed_injections += len(executed)
+    # Pass 2 — execute the missing sections, each one shard that starts
+    # from its section-entry snapshot.
+    shards = [(snapshot, section_plans)
+              for _, section_plans, _, snapshot in pending]
+    executed = _execute(ctx, shards, processes, result)
+    for (section, section_plans, key, _), pairs in zip(pending, executed):
+        section_results[section.index] = pairs
+        compose_stats.executed_injections += len(pairs)
         if cache is not None:
             cache.store(key, _entry_from_results(section, section_plans,
-                                                 executed, telemetry))
+                                                 pairs, telemetry))
 
     # Pass 3 — compose. Merging the routed results reconstructs the flat
-    # campaign's result set exactly (same plans, same per-plan outcomes).
+    # campaign's result set exactly (same plans, same per-plan outcomes);
+    # the JSONL stream replays them in the flat campaign's serve order.
     merged = [
         pair
         for section, _ in populated
         for pair in section_results[section.index]
     ]
-    if analysis is not None:
-        merged = merged + _expand_pruned(analysis, merged, telemetry)
-    sink = _open_sink(jsonl_path, jsonl_mode)
-    try:
-        if sink is not None:
-            if prune:
-                ordered = sorted(merged, key=lambda pair: pair[0])
-            else:
-                ordered = sorted(
-                    merged,
-                    key=lambda pair: (pair[1].site_index, pair[0]),
-                )
-            for _, record in ordered:
-                sink.write(record)
-        return _finish(result, merged, telemetry, sink, streamed=True)
-    finally:
-        if sink is not None:
-            sink.close()
+    if jsonl_path is not None:
+        by_run = dict(merged)
+        with JsonlSink(jsonl_path, mode=jsonl_mode) as sink:
+            stream = _stream(sink, analysis)
+            for _, region_plans in _checkpoint_schedule(plans,
+                                                        checkpoint_interval):
+                for run_index, _ in region_plans:
+                    stream.write(by_run[run_index])
+    return _finish(result, merged, analysis, telemetry)

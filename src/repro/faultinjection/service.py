@@ -1,20 +1,22 @@
 """Durable campaign service: journaled shards, supervision, idempotent resume.
 
-This is the production-scale layer over
-:mod:`repro.faultinjection.campaign` that ROADMAP item 3 calls for: a
+This module wraps the campaign executor of
+:mod:`repro.faultinjection.campaign` in a journal and a supervisor: a
 campaign (workloads × techniques × fault plans) is *compiled* into
-deterministic shard descriptors, executed by supervised worker processes,
-and every state transition is journaled to disk so the service can be
-``kill -9``-ed at any instant and resumed to a byte-identical result.
+deterministic shard descriptors, each shard is run by the executor's serve
+function in a supervised worker process, and every state transition is
+journaled to disk so the service can be ``kill -9``-ed at any instant and
+resumed to a byte-identical result.
 
 **Sharding.** Each (workload, technique) *unit* draws its full plan
-population exactly as :func:`~repro.faultinjection.campaign.run_campaign`
-does — ``FaultPlan.sample(rng.fork(i), fault_sites)`` per run index — so
+population with :func:`~repro.faultinjection.campaign.run_campaign`'s own
+draw — ``FaultPlan.sample(rng.fork(i), fault_sites)`` per run index — so
 plan contents are independent of shard boundaries. Plans are sorted by
-fault site and chunked into contiguous *site-range* shards: a worker
-executes one shard by marching a golden-prefix cursor only across its
-range (:func:`campaign._checkpointed_asm_results`), which keeps per-shard
-work proportional to its range plus one prefix replay.
+fault site and chunked into contiguous *site-range* shards of at most
+``shard_size`` plans: a worker executes one shard by marching a
+golden-prefix cursor only across its range (:func:`campaign._serve`),
+which keeps per-shard work proportional to its range plus one prefix
+replay, and its resident records bounded by ``shard_size``.
 
 **Durability contract.** The state directory holds:
 
@@ -64,10 +66,11 @@ from typing import Callable, Iterator
 from repro.errors import ServiceError
 from repro.faultinjection.campaign import (
     IndexedPlan,
-    _checkpointed_asm_results,
+    _draw,
     _fork_context,
+    _serve,
+    _ShardContext,
 )
-from repro.faultinjection.injector import FaultPlan
 from repro.faultinjection.outcome import Outcome
 from repro.faultinjection.telemetry import (
     FaultRecord,
@@ -80,7 +83,6 @@ from repro.machine.cpu import Machine, RunResult
 from repro.pipeline import VARIANTS, build_variants
 from repro.utils.journal import Journal, durable_replace
 from repro.utils.locking import FileLock
-from repro.utils.rng import DeterministicRng
 from repro.workloads import get_workload
 
 #: Bumped when the journal schema or state layout changes; mismatched
@@ -264,12 +266,7 @@ def compile_campaign(spec: CampaignSpec) -> list[CompiledUnit]:
             build = build_variants(source, names=names)
             program = build[technique].asm
             golden = Machine(program).run()
-            rng = DeterministicRng(spec.seed)
-            plans: list[IndexedPlan] = [
-                (run_index,
-                 FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
-                for run_index in range(spec.samples)
-            ]
+            _, plans = _draw(golden, spec.samples, spec.seed)
             index = len(units)
             uid_map = {instr.uid: ordinal for ordinal, instr
                        in enumerate(program.instructions())}
@@ -303,11 +300,9 @@ def execute_shard(
     boundary with bit-identical records, so segments, merges and the
     summary stay byte-stable with the flag on or off.
     """
-    results = _checkpointed_asm_results(
-        unit.program, plans, unit.golden, "main", (),
-        checkpoint_interval, telemetry=True,
-        trail=unit.trail,
-    )
+    ctx = _ShardContext(unit.program, unit.golden, "main", (),
+                        checkpoint_interval, telemetry=True, trail=unit.trail)
+    results, _, _ = _serve(ctx, None, plans)
     results.sort(key=lambda pair: pair[0])
     return [
         (run, replace(record,

@@ -100,6 +100,12 @@ class CheckpointStats:
         self.snapshots += 1
         self.snapshot_bytes += snapshot_nbytes(snap)
 
+    def merge(self, other: "CheckpointStats") -> None:
+        self.snapshots += other.snapshots
+        self.snapshot_bytes += other.snapshot_bytes
+        self.restores += other.restores
+        self.fast_forward_sites += other.fast_forward_sites
+
     def summary(self) -> str:
         return (
             f"{self.snapshots} snapshots ({self.snapshot_bytes} bytes), "

@@ -23,9 +23,11 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro.core.config import FerrumConfig
+from repro.faultinjection.campaign import _fork_context
 from repro.fuzz.generator import GeneratorConfig, generate_program
 from repro.fuzz.oracles import (
     CrossLayerOracle,
@@ -131,27 +133,6 @@ def check_seed(
             "seed-timeout", False,
             f"seed exceeded {seed_timeout:g}s wall clock"),))
     return FuzzResult(seed, tuple(verdicts))
-
-
-# -- fork-pool plumbing (same shape as the injection campaign) ---------------
-
-_PARALLEL_STATE: dict = {}
-
-
-def _parallel_check(seed: int) -> FuzzResult:
-    state = _PARALLEL_STATE
-    return check_seed(seed, generator_config=state.get("generator_config"),
-                      ferrum_config=state.get("ferrum_config"),
-                      seed_timeout=state.get("seed_timeout"))
-
-
-def _fork_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
 
 
 def _repro_command(seed: int) -> str:
@@ -272,22 +253,18 @@ def run_fuzz(
 
     context = _fork_context() if processes > 1 else None
     if context is not None and processes > 1:
-        _PARALLEL_STATE.update(generator_config=generator_config,
-                               ferrum_config=ferrum_config,
-                               seed_timeout=seed_timeout)
+        check = partial(check_seed, generator_config=generator_config,
+                        ferrum_config=ferrum_config,
+                        seed_timeout=seed_timeout)
         chunk_size = max(processes * 4, 8)
-        try:
-            with context.Pool(processes) as pool:
-                for base in range(0, len(seeds), chunk_size):
-                    chunk = seeds[base:base + chunk_size]
-                    for result in pool.map(_parallel_check, chunk,
-                                           chunksize=1):
-                        note(result)
-                    if (time_budget is not None
-                            and time.perf_counter() - started > time_budget):
-                        break
-        finally:
-            _PARALLEL_STATE.clear()
+        with context.Pool(processes) as pool:
+            for base in range(0, len(seeds), chunk_size):
+                chunk = seeds[base:base + chunk_size]
+                for result in pool.map(check, chunk, chunksize=1):
+                    note(result)
+                if (time_budget is not None
+                        and time.perf_counter() - started > time_budget):
+                    break
     else:
         for seed in seeds:
             if (time_budget is not None

@@ -81,38 +81,37 @@ def _even_doubler(n):
 
 
 class TestPooledFailure:
+    """The executor's fork pool: partial progress on failure, no parent state.
+
+    Workers receive the campaign context through the pool initializer, so
+    the parent's worker slot must stay empty whether the pool succeeds or
+    fails.
+    """
+
     def test_partial_progress_reported_and_state_cleared(self):
         from repro.errors import InjectionError
-        from repro.faultinjection.campaign import (
-            _PARALLEL_STATE,
-            _fork_context,
-            _pooled,
-        )
+        from repro.faultinjection import campaign as campaign_mod
 
-        context = _fork_context()
+        context = campaign_mod._fork_context()
         if context is None:
             pytest.skip("fork start method unavailable")
-        _PARALLEL_STATE["sentinel"] = object()
         with pytest.raises(InjectionError) as info:
-            _pooled(context, 2, _even_doubler, [0, 2, 4, 5, 6], chunksize=1)
+            list(campaign_mod._pooled(context, 2, _even_doubler,
+                                      [0, 2, 4, 5, 6]))
         # The error names how far the campaign got, carries the completed
         # prefix, and chains the worker's original exception.
         assert "3/5 tasks completed" in str(info.value)
         assert info.value.partial_results == [0, 4, 8]
         assert isinstance(info.value.__cause__, RuntimeError)
-        assert _PARALLEL_STATE == {}  # cleaned up despite the failure
+        assert campaign_mod._WORKER is None
 
     def test_success_path_still_clears_state(self, program):
-        from repro.faultinjection.campaign import (
-            _PARALLEL_STATE,
-            _fork_context,
-            _pooled,
-        )
+        from repro.faultinjection import campaign as campaign_mod
 
-        context = _fork_context()
+        context = campaign_mod._fork_context()
         if context is None:
             pytest.skip("fork start method unavailable")
-        _PARALLEL_STATE["sentinel"] = 1
-        assert _pooled(context, 2, _even_doubler, [0, 2], chunksize=1) \
-            == [0, 4]
-        assert _PARALLEL_STATE == {}
+        assert list(campaign_mod._pooled(context, 2, _even_doubler,
+                                         [0, 2])) == [0, 4]
+        run_campaign(program, samples=6, seed=1, processes=2)
+        assert campaign_mod._WORKER is None

@@ -12,7 +12,6 @@ from repro.backend import compile_module
 from repro.errors import InjectionError
 from repro.faultinjection import campaign as campaign_mod
 from repro.faultinjection.campaign import (
-    _PARALLEL_STATE,
     _checkpoint_schedule,
     run_campaign,
     run_ir_campaign,
@@ -207,25 +206,7 @@ class TestCheckpointSchedule:
             _checkpoint_schedule(self._plans([1]), 0)
 
 
-def _boom(_):
-    raise InjectionError("worker failure for the leak test")
-
-
 class TestParallelStateHygiene:
-    def test_state_cleared_after_success(self, built):
-        _, program = built["bfs"]
-        run_campaign(program, samples=4, seed=1, processes=2)
-        assert _PARALLEL_STATE == {}
-
-    def test_state_cleared_after_worker_failure(self):
-        context = campaign_mod._fork_context()
-        if context is None:
-            pytest.skip("fork start method unavailable")
-        _PARALLEL_STATE.update(marker=True)
-        with pytest.raises(InjectionError):
-            campaign_mod._pooled(context, 2, _boom, [1, 2, 3], chunksize=1)
-        assert _PARALLEL_STATE == {}
-
     def test_sequential_fallback_without_fork(self, built, monkeypatch):
         _, program = built["bfs"]
         sequential = run_campaign(program, samples=SAMPLES, seed=SEED)

@@ -5,9 +5,9 @@ function/loop-nest sections, runs per-section sub-campaigns off shared
 prefix snapshots, and composes the results. For any fixed seed the
 composed campaign must be bit-identical to the flat ``run_campaign`` —
 counts, per-origin maps, telemetry records and JSONL bytes — across
-campaign engines, machine engines, ``prune`` and ``processes``. The
-on-disk section cache must serve warm reruns without executing a single
-injection and invalidate exactly the sections whose code changed.
+machine engines, ``prune`` and ``processes``. The on-disk section cache
+must serve warm reruns without executing a single injection and
+invalidate exactly the sections whose code changed.
 """
 
 import json
@@ -85,8 +85,11 @@ class TestComposedBitIdentity:
 
     @pytest.mark.parametrize("engine", ("checkpoint", "replay"))
     def test_campaign_engines_identical(self, built, flat, engine):
-        composed = run_composed(built["knn"], engine=engine)
-        assert_campaigns_identical(composed, flat["knn"], context=engine)
+        """Compose's reference is the flat campaign under either engine."""
+        reference = run_campaign(built["knn"], samples=SAMPLES, seed=SEED,
+                                 telemetry=True, engine=engine)
+        assert_campaigns_identical(run_composed(built["knn"]), reference,
+                                   context=engine)
 
     @pytest.mark.parametrize("name", ("knn", "pathfinder"))
     def test_prune_identical(self, built, flat, name):
@@ -97,7 +100,6 @@ class TestComposedBitIdentity:
     @pytest.mark.parametrize("kwargs", (
         dict(processes=3),
         dict(processes=3, prune=True),
-        dict(processes=3, engine="replay"),
     ))
     def test_parallel_identical(self, built, flat, kwargs):
         composed = run_composed(built["knn"], **kwargs)

@@ -88,14 +88,12 @@ class TestBitIdentity:
         program = built["bfs"]["ferrum"]
         sequential = run_campaign(program, samples=SAMPLES, seed=SEED,
                                   telemetry=True, converge=True)
-        for engine in ("checkpoint", "replay"):
-            parallel = run_campaign(program, samples=SAMPLES, seed=SEED,
-                                    telemetry=True, converge=True,
-                                    processes=2, engine=engine)
-            assert_campaigns_identical(parallel, sequential, context=engine)
-            # Stats are order-independent sums: parallel == sequential.
-            assert (parallel.convergence_stats.summary()
-                    == sequential.convergence_stats.summary())
+        parallel = run_campaign(program, samples=SAMPLES, seed=SEED,
+                                telemetry=True, converge=True, processes=2)
+        assert_campaigns_identical(parallel, sequential)
+        # Stats are order-independent sums: parallel == sequential.
+        assert (parallel.convergence_stats.summary()
+                == sequential.convergence_stats.summary())
 
     def test_prune_composes_with_converge(self, built, tmp_path):
         program = built["pathfinder"]["ferrum"]
