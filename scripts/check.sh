@@ -26,6 +26,12 @@ fi
 echo "== tier-1 tests (perf marker deselected) =="
 PYTHONPATH=src python -m pytest tests -q -m "not perf" || status=$?
 
+echo "== tier-1 tests (reference execution engine) =="
+# Mirrors the CI tests-reference-engine job: the machine's reference
+# handler loop must give the same suite results as the translated engine.
+FERRUM_ENGINE=reference PYTHONPATH=src python -m pytest tests -q -m "not perf" \
+    || status=$?
+
 echo "== tier-1 tests (fused execution engine) =="
 # The superblock-fused engine must be invisible to the whole suite
 # (bit-identity contract; see docs/performance.md).

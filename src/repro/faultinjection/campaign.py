@@ -9,20 +9,24 @@ are reproducible and embarrassingly parallel in structure.
 Every campaign path — flat assembly and IR campaigns, composed campaigns
 (:mod:`repro.faultinjection.compose`) and service shards
 (:mod:`repro.faultinjection.service`) — runs through one executor:
-plans → site-range shards → executor (in-process | fork pool) → ordered
-sink (site order, or run-index order under pruning). A *shard* is an
-entry snapshot (or program entry) plus its site-sorted plans;
-:func:`_serve` marches a cursor across the shard's checkpoint regions
-(:meth:`Machine.run_to_site`), and each injection restores its region's
-O(touched pages) snapshot and runs only its own suffix. A small target adapter (:class:`_ShardContext`) lets the same
-loop serve assembly programs and IR modules. With ``processes > 1`` the
-shards run on a fork pool whose workers inherit the campaign context; the
-results stream back in shard order, so records, stats and JSONL bytes do
-not depend on the process count. See ``docs/fault_model.md``.
+plans → site-range shards → executor (in-process | fork pool) → sink.
+There is one record order, *serve order*: by fault site, then by run
+index. :func:`_serve` fixes it; every other component concatenates. A
+*shard* is an entry snapshot (or program entry) plus a contiguous range of
+the serve order; :func:`_serve` marches a cursor across the shard's sites
+(:meth:`Machine.run_to_site`), and each injection restores its site's
+O(touched pages) snapshot and runs only its own suffix. Pruned plans are
+verdicts inside the same loop: a synthesized or cloned result is written
+at its place without execution. A small target adapter
+(:class:`_ShardContext`) lets the same loop serve assembly programs and IR
+modules. With ``processes > 1`` the shards run on a fork pool whose
+workers inherit the campaign context; the results stream back in shard
+order, so records, stats and JSONL bytes do not depend on the process
+count. See ``docs/fault_model.md``.
 
-``engine="replay"`` is kept as the sequential reference oracle: a plain
-loop that re-executes every injection from instruction 0. The checkpoint
-engine (the default) is bit-identical to it.
+``engine="replay"`` is kept as the sequential reference oracle: the same
+loop in serve order, re-executing every injection from instruction 0. The
+checkpoint engine (the default) is bit-identical to it.
 
 ``telemetry=True`` (or a ``jsonl_path``) additionally collects one
 :class:`FaultRecord` per fault — attribution, register/bit, detection
@@ -111,163 +115,37 @@ class CampaignResult:
         )
 
 
-def _expand_pruned(
-    analysis: PruningAnalysis, executed, telemetry: bool
-) -> list:
-    """Results the pruning pass avoided executing.
-
-    Synthesized verdicts are returned as-is; duplicate plans are served by
-    cloning their representative's result (the machine is deterministic, so
-    an identical (site, register, bit) flip yields an identical outcome),
-    re-stamped with the duplicate's run index when telemetry is on.
-    """
-    extra = list(analysis.synthesized)
-    if analysis.duplicates:
-        by_run = dict(executed)
-        for rep, dup_indices in analysis.duplicates.items():
-            rep_result = by_run[rep]
-            for dup in dup_indices:
-                extra.append(
-                    (dup, replace(rep_result, run_index=dup))
-                    if telemetry else (dup, rep_result)
-                )
-    return extra
-
-
-def _open_sink(jsonl_path, mode: str) -> JsonlSink | None:
-    """Open the campaign's JSONL sink, validating the requested mode.
-
-    ``mode="w"`` truncates (the default); ``mode="a"`` appends, which is
-    what multi-invocation workflows — compositional campaigns above all —
-    need to accumulate one stream across runs.
-    """
-    if jsonl_path is None:
-        return None
-    if mode not in ("w", "a"):
-        raise InjectionError(
-            f"jsonl_mode must be 'w' (truncate) or 'a' (append), got {mode!r}"
-        )
-    return JsonlSink(jsonl_path, mode=mode)
-
-
-class _RunOrderedWriter:
-    """Streams records to a sink in run-index order as they become available.
-
-    Pruned campaigns complete their runs out of run-index order (executed
-    representatives arrive in site order; synthesized verdicts exist before
-    execution starts; duplicates complete when their representative does).
-    This reorder buffer flushes each record the moment every lower run
-    index has been written, so the final file stays byte-identical to the
-    buffered (sorted-by-run-index) order — and it is *bounded*: synthesized
-    verdicts are consulted lazily from the analysis at their flush point
-    (never copied in), duplicate clones are materialized only at the
-    instant they are written, and a representative's record is retained
-    only until its last clone flushes. The buffer therefore holds at most
-    the out-of-order executed records plus the representatives with
-    pending clones, never the whole campaign; ``peak_buffer`` reports the
-    high-water mark so tests can pin the bound.
-    """
-
-    def __init__(self, sink: JsonlSink, analysis: PruningAnalysis) -> None:
-        self._sink = sink
-        self._duplicates = analysis.duplicates
-        self._dup_of = {
-            dup: rep
-            for rep, dups in analysis.duplicates.items()
-            for dup in dups
-        }
-        self._last_dup = {
-            rep: max(dups) for rep, dups in analysis.duplicates.items() if dups
-        }
-        # References into the analysis, not copies: synthesized records
-        # already exist for the campaign result, so looking them up lazily
-        # adds no resident memory.
-        self._synth = dict(analysis.synthesized)
-        self._pending: dict[int, FaultRecord] = {}
-        self._rep_records: dict[int, FaultRecord] = {}
-        self._next = 0
-        self.peak_buffer = 0
-        self._drain()  # a synthesized prefix may already start at run 0
-
-    def _note_peak(self) -> None:
-        resident = len(self._pending) + len(self._rep_records)
-        if resident > self.peak_buffer:
-            self.peak_buffer = resident
-
-    def _drain(self) -> None:
-        while True:
-            run = self._next
-            record = self._pending.pop(run, None)
-            if record is None:
-                record = self._synth.pop(run, None)
-            if record is None:
-                rep = self._dup_of.get(run)
-                if rep is None or rep not in self._rep_records:
-                    return  # gap: a lower run index is still executing
-                record = replace(self._rep_records[rep], run_index=run)
-                if run == self._last_dup[rep]:
-                    del self._rep_records[rep]
-            self._sink.write(record)
-            self._next += 1
-
-    def write(self, record: FaultRecord) -> None:
-        """Engine-facing hook: accept one executed record."""
-        run = record.run_index
-        if run in self._duplicates:
-            self._rep_records[run] = record
-        if run != self._next:
-            self._pending[run] = record
-            self._note_peak()
-            return
-        self._sink.write(record)
-        self._next += 1
-        self._note_peak()
-        self._drain()
-
-
 def _checkpoint_schedule(
-    plans: list[IndexedPlan], interval: int | None
+    plans: list[IndexedPlan],
 ) -> list[tuple[int, list[IndexedPlan]]]:
-    """Group indexed plans by the checkpoint that serves them, by site.
+    """Group indexed plans by fault site, in serve order.
 
-    ``interval=None`` checkpoints at every distinct fault site (zero
-    fast-forward per injection); ``interval=K`` snapshots only at multiples
-    of K sites, trading up to K-1 sites of fast-forward per injection for
-    fewer, coarser snapshots.
+    Serve order — by fault site, then by run index — is the one record
+    order of every campaign path; each fault site is one checkpoint.
     """
-    if interval is not None and interval < 1:
-        raise InjectionError(f"checkpoint interval must be >= 1, got {interval}")
-    regions: dict[int, list[IndexedPlan]] = {}
-    for indexed in plans:
-        site = indexed[1].site_index
-        checkpoint = site if interval is None else site - site % interval
-        regions.setdefault(checkpoint, []).append(indexed)
-    return sorted(regions.items())
+    sites: dict[int, list[IndexedPlan]] = {}
+    for indexed in sorted(plans, key=lambda pair: (pair[1].site_index,
+                                                   pair[0])):
+        sites.setdefault(indexed[1].site_index, []).append(indexed)
+    return list(sites.items())
 
 
 def _finish(
-    result: CampaignResult,
-    executed: list,
-    analysis: PruningAnalysis | None,
-    telemetry: bool,
+    result: CampaignResult, served: list, telemetry: bool
 ) -> CampaignResult:
     """Fold per-run results into the campaign aggregate.
 
-    ``executed`` holds (run_index, Outcome | FaultRecord) pairs; pruned
-    campaigns add the results the pruning pass avoided executing. With
+    ``served`` holds (run_index, Outcome | FaultRecord) pairs. With
     telemetry the records are kept sorted by run index.
     """
-    results = executed
-    if analysis is not None:
-        results = executed + _expand_pruned(analysis, executed, telemetry)
     if telemetry:
-        ordered = [record for _, record in sorted(results,
+        ordered = [record for _, record in sorted(served,
                                                   key=lambda pair: pair[0])]
         for record in ordered:
             result.outcomes.record(record.outcome)
         result.records = ordered
     else:
-        for _, outcome in results:
+        for _, outcome in served:
             result.outcomes.record(outcome)
     return result
 
@@ -279,23 +157,38 @@ class _ShardContext:
     """What every shard of one campaign shares: the target adapter.
 
     Holds the program (assembly) or module (IR), its golden run, the entry
-    point, the checkpoint interval, the telemetry flag and the convergence
-    trail, plus one runner — a :class:`Machine` or :class:`IRInterpreter`
-    built once and reused by every cursor advance, restore and injection.
-    Pool workers inherit the parent's context through ``fork``.
+    point, the telemetry flag, the convergence trail and the prune
+    verdicts, plus one runner — a :class:`Machine` or
+    :class:`IRInterpreter` built once and reused by every cursor advance,
+    restore and injection. ``replay`` marks the sequential reference
+    oracle, which never advances a cursor. Pool workers inherit the
+    parent's context through ``fork``.
     """
 
-    def __init__(self, target, golden, function, args, interval, telemetry,
-                 trail: ConvergenceTrail | None = None) -> None:
+    def __init__(self, target, golden, function, args, telemetry,
+                 trail: ConvergenceTrail | None = None,
+                 analysis: PruningAnalysis | None = None,
+                 replay: bool = False) -> None:
         self.target = target
         self.ir = isinstance(target, IRModule)
         self.runner = IRInterpreter(target) if self.ir else Machine(target)
         self.golden = golden
         self.function = function
         self.args = args
-        self.interval = interval
         self.telemetry = telemetry
         self.trail = trail
+        self.replay = replay
+        analysis = analysis or PruningAnalysis()
+        #: run index -> result the prune pass synthesized without execution
+        self.synthesized = dict(analysis.synthesized)
+        #: duplicate run index -> its representative's run index
+        self.clone_of = {dup: rep for rep, dups in analysis.duplicates.items()
+                         for dup in dups}
+
+    def executes(self, run_index: int) -> bool:
+        """Whether the plan drawn as ``run_index`` is actually injected."""
+        return (run_index not in self.synthesized
+                and run_index not in self.clone_of)
 
     def advance(self, site: int, cursor):
         """Run fault-free from ``cursor`` (or entry) and snapshot at ``site``."""
@@ -319,32 +212,46 @@ class _ShardContext:
 
 
 def _serve(ctx: _ShardContext, entry, plans: list[IndexedPlan], sink=None):
-    """Run one shard: its plans off a cursor marched from ``entry``.
+    """Run one shard: its plans in serve order, off a cursor from ``entry``.
 
     ``entry`` is the snapshot the shard starts from (``None``: program
-    entry). The cursor advances checkpoint to checkpoint in site order, each
-    injection restores its region's snapshot, and each result is written to
-    ``sink`` the moment it exists. A cursor already at or past a region's
-    checkpoint (a shard or section entry) serves that region as is.
+    entry). Plans are served by fault site, then run index, and each
+    result is written to ``sink`` the moment it exists. At a site where
+    some plan executes, the cursor advances to the site (unless a shard or
+    section entry already put it there) and each executed plan restores
+    it; the replay oracle never advances and runs every injection from
+    instruction 0. A pruned plan costs no execution: a synthesized plan
+    yields its synthesized result, and a duplicate clones the result of
+    its representative — the lowest run index at the same site, so
+    already served. A pruned campaign's shards therefore hold whole sites.
 
     Returns ``(results, checkpoint_stats, convergence_stats)``; the stats
     are this shard's alone, for the caller to merge.
     """
-    stats = CheckpointStats() if ctx.telemetry else None
+    stats = CheckpointStats() if ctx.telemetry and not ctx.replay else None
     conv_stats = ConvergenceStats() if ctx.trail is not None else None
     results = []
     cursor = entry
-    for checkpoint_site, region_plans in _checkpoint_schedule(plans,
-                                                              ctx.interval):
-        if cursor is None or cursor.sites < checkpoint_site:
-            cursor = ctx.advance(checkpoint_site, cursor)
-        if stats is not None:
-            stats.note_snapshot(cursor)
-        for run_index, plan in region_plans:
-            outcome = ctx.inject(plan, cursor, run_index, conv_stats)
+    for site, site_plans in _checkpoint_schedule(plans):
+        if not ctx.replay and any(ctx.executes(run_index)
+                                  for run_index, _ in site_plans):
+            if cursor is None or cursor.sites < site:
+                cursor = ctx.advance(site, cursor)
             if stats is not None:
-                stats.restores += 1
-                stats.fast_forward_sites += plan.site_index - cursor.sites
+                stats.note_snapshot(cursor)
+        executed = {}
+        for run_index, plan in site_plans:
+            if run_index in ctx.synthesized:
+                outcome = ctx.synthesized[run_index]
+            elif run_index in ctx.clone_of:
+                outcome = executed[ctx.clone_of[run_index]]
+                if ctx.telemetry:
+                    outcome = replace(outcome, run_index=run_index)
+            else:
+                outcome = ctx.inject(plan, cursor, run_index, conv_stats)
+                executed[run_index] = outcome
+                if stats is not None:
+                    stats.restores += 1
             if sink is not None:
                 sink.write(outcome)
             results.append((run_index, outcome))
@@ -360,26 +267,27 @@ SHARDS_PER_PROCESS = 4
 def _cut_shards(
     ctx: _ShardContext, plans: list[IndexedPlan], processes: int
 ) -> list[tuple[object, list[IndexedPlan]]]:
-    """Cut a campaign into site-range shards of whole checkpoint regions.
+    """Cut a campaign into site-range shards of whole fault sites.
 
     One process serves the campaign as a single shard from program entry.
-    Otherwise the checkpoint schedule is cut into ``processes *
-    SHARDS_PER_PROCESS`` runs of regions, and one cursor pass takes each
-    shard's entry snapshot at its first checkpoint. A region is never split,
-    so every checkpoint snapshot is taken once, and the shards in order
-    serve the plans in exactly the sequential order.
+    Otherwise the sites of the schedule are cut into ``processes *
+    SHARDS_PER_PROCESS`` runs, and one cursor pass takes each shard's
+    entry snapshot at its first site. A site is never split, so every
+    snapshot is taken once, a duplicate stays with its representative,
+    and the shards in order serve the plans in exactly the sequential
+    order.
     """
     if processes == 1:
         return [(None, plans)]
-    regions = _checkpoint_schedule(plans, ctx.interval)
-    per_shard = max(1, -(-len(regions) // (processes * SHARDS_PER_PROCESS)))
+    sites = _checkpoint_schedule(plans)
+    per_shard = max(1, -(-len(sites) // (processes * SHARDS_PER_PROCESS)))
     shards = []
     cursor = None
-    for start in range(0, len(regions), per_shard):
-        group = regions[start:start + per_shard]
+    for start in range(0, len(sites), per_shard):
+        group = sites[start:start + per_shard]
         cursor = ctx.advance(group[0][0], cursor)
-        shards.append((cursor, [indexed for _, region in group
-                                for indexed in region]))
+        shards.append((cursor, [indexed for _, site_plans in group
+                                for indexed in site_plans]))
     return shards
 
 
@@ -478,24 +386,10 @@ def _execute(
     return per_shard
 
 
-def _validate(
-    checkpoint_interval: int | None,
-    jsonl_mode: str,
-    processes: int,
-    engine: str = "checkpoint",
-) -> None:
+def _validate(processes: int, engine: str = "checkpoint") -> None:
     """Reject bad campaign arguments before any work runs."""
     if engine not in ENGINES:
         raise InjectionError(f"unknown engine {engine!r}; known: {ENGINES}")
-    if checkpoint_interval is not None and checkpoint_interval < 1:
-        raise InjectionError(
-            f"checkpoint interval must be >= 1, got {checkpoint_interval}"
-        )
-    if jsonl_mode not in ("w", "a"):
-        raise InjectionError(
-            f"jsonl_mode must be 'w' (truncate) or 'a' (append), "
-            f"got {jsonl_mode!r}"
-        )
     if processes < 1:
         raise InjectionError(f"processes must be >= 1, got {processes}")
     if engine == "replay" and processes > 1:
@@ -521,67 +415,42 @@ def _draw(golden, samples: int, seed: int):
 
 
 def _draw_asm(program, golden, samples, seed, function, args, telemetry,
-              prune, converge, converge_interval):
+              prune, converge):
     """:func:`_draw` for assembly, plus the optional prune pass and trail.
 
-    Returns ``(result, plans, analysis, trail)``: under ``prune`` the plans
-    are the ones left to execute, and ``analysis`` serves the rest.
+    Returns ``(result, plans, analysis, trail)``; under ``prune`` the
+    ``analysis`` holds the verdicts that spare plans their execution.
     """
     result, plans = _draw(golden, samples, seed)
     analysis = None
     if prune:
         analysis = analyze_plans(program, plans, function=function, args=args,
                                  telemetry=telemetry)
-        plans = analysis.to_execute
         result.pruning_stats = analysis.stats
     trail: ConvergenceTrail | None = None
     if converge:
-        trail = record_trail(program, golden, function=function, args=args,
-                             interval=converge_interval)
+        trail = record_trail(program, golden, function=function, args=args)
         result.convergence_stats = ConvergenceStats()
     return result, plans, analysis, trail
-
-
-def _stream(sink: JsonlSink | None, analysis: PruningAnalysis | None):
-    """Where executed records go: the sink, or its run-order buffer."""
-    if sink is not None and analysis is not None:
-        return _RunOrderedWriter(sink, analysis)
-    return sink
 
 
 def _run(
     ctx: _ShardContext,
     result: CampaignResult,
     plans: list[IndexedPlan],
-    engine: str,
     processes: int,
     jsonl_path,
-    jsonl_mode: str,
-    analysis: PruningAnalysis | None = None,
 ) -> CampaignResult:
     """Execute a flat campaign's plans and fold the results."""
-    sink = (JsonlSink(jsonl_path, mode=jsonl_mode)
-            if jsonl_path is not None else None)
+    sink = JsonlSink(jsonl_path) if jsonl_path is not None else None
     try:
-        stream = _stream(sink, analysis)
-        if engine == "replay":
-            # The sequential reference: every run from instruction 0.
-            executed = []
-            for run_index, plan in plans:
-                outcome = ctx.inject(plan, None, run_index,
-                                     result.convergence_stats)
-                if stream is not None:
-                    stream.write(outcome)
-                executed.append((run_index, outcome))
-        else:
-            if ctx.telemetry:
-                result.checkpoint_stats = CheckpointStats()
-            shards = _cut_shards(ctx, plans, processes)
-            executed = [pair
-                        for pairs in _execute(ctx, shards, processes, result,
-                                              stream)
-                        for pair in pairs]
-        return _finish(result, executed, analysis, ctx.telemetry)
+        if ctx.telemetry and not ctx.replay:
+            result.checkpoint_stats = CheckpointStats()
+        shards = _cut_shards(ctx, plans, processes)
+        served = [pair
+                  for pairs in _execute(ctx, shards, processes, result, sink)
+                  for pair in pairs]
+        return _finish(result, served, ctx.telemetry)
     finally:
         if sink is not None:
             sink.close()
@@ -595,13 +464,10 @@ def run_campaign(
     args: tuple[int, ...] = (),
     processes: int = 1,
     engine: str = "checkpoint",
-    checkpoint_interval: int | None = None,
     telemetry: bool = False,
     jsonl_path=None,
-    jsonl_mode: str = "w",
     prune: bool = False,
     converge: bool = False,
-    converge_interval: int | None = None,
 ) -> CampaignResult:
     """Inject ``samples`` single-bit faults at assembly level.
 
@@ -610,33 +476,30 @@ def run_campaign(
     uniformly chosen site/register/bit and classifies the outcome.
 
     ``engine`` selects the execution strategy (see the module docstring);
-    both produce bit-identical :class:`OutcomeCounts` for the same seed.
-    ``checkpoint_interval`` (checkpoint engine only) snapshots every K
-    sites instead of at every served site. ``processes > 1`` cuts the
-    checkpoint schedule into site-range shards served by forked worker
-    processes, each restoring from its shard's entry snapshot rather than
-    replaying the prefix; results, stats and JSONL bytes are identical to
-    the sequential run because every run derives its own RNG stream from
-    the seed and shards stream back in order. Where ``fork`` is
-    unavailable the shards run in-process. The replay engine is the
-    sequential reference and rejects ``processes > 1``.
+    both produce bit-identical results for the same seed.
+    ``processes > 1`` cuts the serve order into site-range shards served by
+    forked worker processes, each restoring from its shard's entry
+    snapshot rather than replaying the prefix; results, stats and JSONL
+    bytes are identical to the sequential run because every run derives
+    its own RNG stream from the seed and shards stream back in order. Where
+    ``fork`` is unavailable the shards run in-process. The replay engine is
+    the sequential reference and rejects ``processes > 1``.
 
     ``telemetry=True`` collects one :class:`FaultRecord` per fault into
     ``result.records`` (and fills ``result.checkpoint_stats`` under the
     checkpoint engine); ``jsonl_path`` implies telemetry and streams the
-    records to disk as JSONL as they complete — in site order, or run-index
-    order under ``prune``. ``jsonl_mode="a"`` appends to an existing file
-    instead of truncating, so multi-invocation workflows can accumulate one
-    stream. Outcome counts are bit-identical with telemetry on or off.
-    Arguments are validated before the golden run.
+    records to disk as JSONL as they complete, in serve order (by fault
+    site, then run index) whatever the engine, process count or ``prune``.
+    Outcome counts are bit-identical with telemetry on or off. Arguments
+    are validated before the golden run.
 
     ``prune=True`` runs the outcome-equivalence pass
     (:mod:`repro.faultinjection.equivalence`) first: plans whose outcome is
     provable from the golden trace are synthesized without execution, and
     plans identical in (site, register, bit) to an already-executed one are
-    served by cloning its result. Outcomes and telemetry records stay
-    bit-identical to the unpruned campaign; ``result.pruning_stats``
-    reports how much work was avoided.
+    served by cloning its result. Outcomes, telemetry records and JSONL
+    bytes stay bit-identical to the unpruned campaign;
+    ``result.pruning_stats`` reports how much work was avoided.
 
     ``converge=True`` layers *dynamic* pruning on top: one extra fault-free
     pass records a golden digest trail (:mod:`repro.machine.converge`), and
@@ -645,23 +508,20 @@ def run_campaign(
     finishing with the golden outcome. Counts, records, per-origin maps
     and JSONL bytes stay bit-identical to ``converge=False``;
     ``result.convergence_stats`` reports the converged fraction and
-    instructions saved. ``converge_interval`` overrides the boundary
-    spacing in fault sites (default: :func:`repro.machine.converge.
-    trail_interval`). Composes with ``prune`` (static pruning removes
+    instructions saved. Composes with ``prune`` (static pruning removes
     runs, convergence shortens the surviving ones) and with both engines
     and any process count — the trail is recorded once and inherited by
     pool workers.
     """
-    _validate(checkpoint_interval, jsonl_mode, processes, engine)
+    _validate(processes, engine)
     telemetry = telemetry or jsonl_path is not None
     golden = Machine(program).run(function=function, args=args)
     result, plans, analysis, trail = _draw_asm(
         program, golden, samples, seed, function, args, telemetry, prune,
-        converge, converge_interval)
-    ctx = _ShardContext(program, golden, function, args, checkpoint_interval,
-                        telemetry, trail)
-    return _run(ctx, result, plans, engine, processes, jsonl_path, jsonl_mode,
-                analysis)
+        converge)
+    ctx = _ShardContext(program, golden, function, args, telemetry, trail,
+                        analysis, replay=engine == "replay")
+    return _run(ctx, result, plans, processes, jsonl_path)
 
 
 def run_ir_campaign(
@@ -672,20 +532,18 @@ def run_ir_campaign(
     args: tuple[int, ...] = (),
     processes: int = 1,
     engine: str = "checkpoint",
-    checkpoint_interval: int | None = None,
     telemetry: bool = False,
     jsonl_path=None,
-    jsonl_mode: str = "w",
     prune: bool = False,
     converge: bool = False,
 ) -> CampaignResult:
     """Inject ``samples`` faults at IR level (LLFI-style).
 
-    Supports the same ``engine``/``checkpoint_interval``/``processes``/
-    ``telemetry``/``jsonl_path``/``jsonl_mode`` controls as
-    :func:`run_campaign`, with identical guarantees: both engines and any
-    process count yield bit-identical outcome counts for a given seed,
-    telemetry on or off.
+    Supports the same ``engine``/``processes``/``telemetry``/
+    ``jsonl_path`` controls as :func:`run_campaign`, with identical
+    guarantees: both engines and any process count yield bit-identical
+    outcome counts, records and JSONL bytes for a given seed, telemetry on
+    or off.
 
     ``prune`` and ``converge`` are accepted for signature parity but only
     ``False`` is supported: outcome-equivalence pruning is assembly-level
@@ -694,7 +552,7 @@ def run_ir_campaign(
     IR interpreter does not expose — both raise :class:`InjectionError`
     instead of a bare ``TypeError``.
     """
-    _validate(checkpoint_interval, jsonl_mode, processes, engine)
+    _validate(processes, engine)
     if converge:
         raise InjectionError(
             "convergence early-exit is assembly-level only: the digest "
@@ -714,6 +572,6 @@ def run_ir_campaign(
     telemetry = telemetry or jsonl_path is not None
     golden = IRInterpreter(module).run(function=function, args=args)
     result, plans = _draw(golden, samples, seed)
-    ctx = _ShardContext(module, golden, function, args, checkpoint_interval,
-                        telemetry)
-    return _run(ctx, result, plans, engine, processes, jsonl_path, jsonl_mode)
+    ctx = _ShardContext(module, golden, function, args, telemetry,
+                        replay=engine == "replay")
+    return _run(ctx, result, plans, processes, jsonl_path)

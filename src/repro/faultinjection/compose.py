@@ -17,7 +17,8 @@ the *same* global plans a flat campaign with the same seed would draw and
 merely routes each plan to the section that owns its site, so composed
 counts, per-origin maps, telemetry records and JSONL bytes are
 bit-identical to the flat campaign, for any process count and with
-``prune=True``.
+``prune=True``. Cached and executed section results are written in the
+executor's one serve order (by fault site, then run index).
 
 **Incrementality.** Section results are cached on disk, content-addressed
 by a hash of (section code bytes including transitively called functions,
@@ -59,7 +60,6 @@ from repro.faultinjection.campaign import (
     _execute,
     _finish,
     _ShardContext,
-    _stream,
     _validate,
 )
 from repro.faultinjection.outcome import Outcome
@@ -72,7 +72,7 @@ from repro.machine.cpu import Machine, MachineSnapshot
 
 #: Bumped whenever the on-disk entry layout or key derivation changes;
 #: entries from other versions are treated as misses, never as errors.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -472,15 +472,12 @@ def compose_campaign(
     function: str = "main",
     args: tuple[int, ...] = (),
     processes: int = 1,
-    checkpoint_interval: int | None = None,
     telemetry: bool = False,
     jsonl_path=None,
-    jsonl_mode: str = "w",
     prune: bool = False,
     cache_dir=None,
     refresh: tuple[str, ...] = (),
     converge: bool = False,
-    converge_interval: int | None = None,
 ) -> CampaignResult:
     """Run a flat-equivalent campaign as composed per-section sub-campaigns.
 
@@ -490,18 +487,18 @@ def compose_campaign(
     its fault site, serves each populated section from the
     content-addressed ``cache_dir`` (when given) or by executing it as one
     shard of the campaign executor, starting from the section-entry
-    snapshot, and composes the results. Outcome counts, per-origin maps and
-    telemetry records are bit-identical to the flat campaign for any
-    ``processes`` count and ``prune`` setting.
+    snapshot, and composes the results. Outcome counts, per-origin maps,
+    telemetry records and JSONL bytes are bit-identical to the flat
+    campaign for any ``processes`` count and ``prune`` setting: the JSONL
+    stream is written in the one serve order (by fault site, then run
+    index).
 
     ``refresh`` names functions whose sections must re-execute even on a
     cache hit (the incremental re-protection workflow: after editing one
     function, refresh it once and let every other section hit).
     ``result.compose_stats`` reports the partition and cache economics.
-
-    JSONL output (``jsonl_path``/``jsonl_mode``) is written in the flat
-    campaign's order — site order for plain campaigns, run-index order
-    under ``prune=True`` — so files are byte-comparable to flat ones.
+    Under ``prune`` a section whose plans are all pruned needs no entry
+    snapshot and no cache entry; it is served from the prune verdicts.
 
     ``converge=True`` adds convergence early-exit (see
     :func:`~repro.faultinjection.campaign.run_campaign`): one golden
@@ -510,10 +507,9 @@ def compose_campaign(
     the first boundary whose divergence cone matches the trail. Composed
     counts and records stay bit-identical; ``result.convergence_stats``
     covers *executed* injections only (cache hits never run, so they have
-    no monitor counters). ``converge_interval`` overrides the boundary
-    spacing.
+    no monitor counters).
     """
-    _validate(checkpoint_interval, jsonl_mode, processes)
+    _validate(processes)
     telemetry = telemetry or jsonl_path is not None
     for name in refresh:
         if not program.has_function(name):
@@ -526,7 +522,7 @@ def compose_campaign(
                                                   index)
     result, plans, analysis, trail = _draw_asm(
         program, golden, samples, seed, function, args, telemetry, prune,
-        converge, converge_interval)
+        converge)
     trail_fp = trail.fingerprint() if trail is not None else None
     stats = CheckpointStats() if telemetry else None
     result.checkpoint_stats = stats
@@ -534,8 +530,8 @@ def compose_campaign(
     result.compose_stats = compose_stats
     cache = SectionCache(cache_dir) if cache_dir is not None else None
     refresh_set = set(refresh)
-    ctx = _ShardContext(program, golden, function, args, checkpoint_interval,
-                        telemetry, trail)
+    ctx = _ShardContext(program, golden, function, args, telemetry, trail,
+                        analysis)
 
     routed = _route_plans(sections, plans)
     populated = [
@@ -545,13 +541,18 @@ def compose_campaign(
     ]
     compose_stats.populated_sections = len(populated)
 
-    # Pass 1 — advance one cursor through every populated section entry
-    # (the shared golden prefix executes exactly once), fingerprint each
-    # entry state, and resolve cache hits.
+    # Pass 1 — advance one cursor through the entry of every section with
+    # a plan to execute (the shared golden prefix executes exactly once),
+    # fingerprint each entry state, and resolve cache hits.
     cursor = None
     section_results: dict[int, list] = {}
-    pending: list[tuple[Section, list[IndexedPlan], str, MachineSnapshot]] = []
+    pending: list[tuple[Section, list[IndexedPlan], str | None,
+                        MachineSnapshot | None]] = []
     for section, section_plans in populated:
+        work = sum(ctx.executes(run) for run, _ in section_plans)
+        if not work:
+            pending.append((section, section_plans, None, None))
+            continue
         cursor = ctx.advance(section.start_site, cursor)
         if stats is not None:
             stats.note_snapshot(cursor)
@@ -569,10 +570,11 @@ def compose_campaign(
                                              telemetry, site_uids)
         if loaded is not None:
             compose_stats.cache_hits += 1
-            compose_stats.cached_injections += len(section_plans)
+            compose_stats.cached_injections += work
             section_results[section.index] = loaded
         else:
             compose_stats.cache_misses += 1
+            compose_stats.executed_injections += work
             pending.append((section, section_plans, key, cursor))
 
     # Pass 2 — execute the missing sections, each one shard that starts
@@ -582,25 +584,20 @@ def compose_campaign(
     executed = _execute(ctx, shards, processes, result)
     for (section, section_plans, key, _), pairs in zip(pending, executed):
         section_results[section.index] = pairs
-        compose_stats.executed_injections += len(pairs)
-        if cache is not None:
+        if cache is not None and key is not None:
             cache.store(key, _entry_from_results(section, section_plans,
                                                  pairs, telemetry))
 
-    # Pass 3 — compose. Merging the routed results reconstructs the flat
-    # campaign's result set exactly (same plans, same per-plan outcomes);
-    # the JSONL stream replays them in the flat campaign's serve order.
-    merged = [
-        pair
-        for section, _ in populated
-        for pair in section_results[section.index]
-    ]
+    # Pass 3 — compose. The routed results are the flat campaign's result
+    # set exactly (same plans, same per-plan outcomes), written in serve
+    # order.
+    by_run = dict(pair for pairs in section_results.values()
+                  for pair in pairs)
+    served = [(run_index, by_run[run_index])
+              for _, site_plans in _checkpoint_schedule(plans)
+              for run_index, _ in site_plans]
     if jsonl_path is not None:
-        by_run = dict(merged)
-        with JsonlSink(jsonl_path, mode=jsonl_mode) as sink:
-            stream = _stream(sink, analysis)
-            for _, region_plans in _checkpoint_schedule(plans,
-                                                        checkpoint_interval):
-                for run_index, _ in region_plans:
-                    stream.write(by_run[run_index])
-    return _finish(result, merged, analysis, telemetry)
+        with JsonlSink(jsonl_path) as sink:
+            for _, record in served:
+                sink.write(record)
+    return _finish(result, served, telemetry)

@@ -11,12 +11,13 @@ resumed to a byte-identical result.
 **Sharding.** Each (workload, technique) *unit* draws its full plan
 population with :func:`~repro.faultinjection.campaign.run_campaign`'s own
 draw — ``FaultPlan.sample(rng.fork(i), fault_sites)`` per run index — so
-plan contents are independent of shard boundaries. Plans are sorted by
-fault site and chunked into contiguous *site-range* shards of at most
-``shard_size`` plans: a worker executes one shard by marching a
-golden-prefix cursor only across its range (:func:`campaign._serve`),
-which keeps per-shard work proportional to its range plus one prefix
-replay, and its resident records bounded by ``shard_size``.
+plan contents are independent of shard boundaries. Plans are put in the
+executor's serve order (by fault site, then run index) and chunked into
+contiguous *site-range* shards of at most ``shard_size`` plans: a worker
+executes one shard by marching a golden-prefix cursor only across its
+range (:func:`campaign._serve`), which keeps per-shard work proportional
+to its range plus one prefix replay, and its resident records bounded by
+``shard_size``.
 
 **Durability contract.** The state directory holds:
 
@@ -24,14 +25,15 @@ replay, and its resident records bounded by ``shard_size``.
   every transition (``campaign``/``leased``/``done``/``failed``/
   ``quarantined``/``finalized``). A torn trailing record (the kill -9
   signature) is repaired on open (:class:`repro.utils.journal.Journal`).
-* ``segments/<shard>.jsonl`` — one run-index-sorted JSONL file per
-  completed shard, written to a temp name, fsync'd, then atomically
+* ``segments/<shard>.jsonl`` — one JSONL file per completed shard, in
+  serve order, written to a temp name, fsync'd, then atomically
   renamed: a segment either exists complete or not at all. Resume adopts
   valid orphan segments (worker finished, supervisor died before
   journaling ``done``) instead of re-executing them.
 * ``results/<workload>-<technique>.jsonl`` + ``summary.json`` — the
-  finalized outputs: a k-way, run-index-ordered merge of the unit's
-  segments and the merged :class:`TelemetryAggregate` totals. Both are
+  finalized outputs: the unit's segments concatenated in shard order
+  (which is serve order, the record order of a flat ``run_campaign``)
+  and the merged :class:`TelemetryAggregate` totals. Both are
   pure functions of the segment set, so re-finalizing after a crash (or
   resuming an already-complete campaign) rewrites identical bytes.
 
@@ -55,17 +57,17 @@ or many. See ``docs/fault_model.md`` ("Durable campaign service").
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import ServiceError
 from repro.faultinjection.campaign import (
     IndexedPlan,
+    _checkpoint_schedule,
     _draw,
     _fork_context,
     _serve,
@@ -87,7 +89,9 @@ from repro.workloads import get_workload
 
 #: Bumped when the journal schema or state layout changes; mismatched
 #: state directories refuse to resume rather than misinterpret records.
-SERVICE_VERSION = 1
+#: Version 2 writes segments in serve order; version 1 wrote them in
+#: run-index order.
+SERVICE_VERSION = 2
 
 
 def backoff_delay(failures: int, base: float, cap: float) -> float:
@@ -110,7 +114,7 @@ class CampaignSpec:
     function of this spec: unit order is ``workloads × techniques`` (both
     in given order), plans come from ``seed`` exactly as in
     :func:`~repro.faultinjection.campaign.run_campaign`, and shards are
-    site-sorted chunks of ``shard_size`` plans.
+    serve-order chunks of ``shard_size`` plans.
     """
 
     workloads: tuple[str, ...]
@@ -119,7 +123,6 @@ class CampaignSpec:
     seed: int
     scale: int = 1
     shard_size: int = 200
-    checkpoint_interval: int | None = None
     #: Convergence early-exit (see :mod:`repro.machine.converge`): each
     #: unit records one golden digest trail at compile time; every shard
     #: worker inherits it through fork and stops masked runs at the first
@@ -157,7 +160,6 @@ class CampaignSpec:
             "seed": self.seed,
             "scale": self.scale,
             "shard_size": self.shard_size,
-            "checkpoint_interval": self.checkpoint_interval,
             "converge": self.converge,
         }
 
@@ -170,10 +172,7 @@ class CampaignSpec:
             seed=data["seed"],
             scale=data["scale"],
             shard_size=data["shard_size"],
-            checkpoint_interval=data["checkpoint_interval"],
-            # Journals written before the convergence feature lack the
-            # key; they meant converge=False.
-            converge=data.get("converge", False),
+            converge=data["converge"],
         )
 
 
@@ -231,8 +230,9 @@ class CompiledUnit:
 def _partition_plans(
     unit_index: int, plans: list[IndexedPlan], shard_size: int
 ) -> list[tuple[ShardDescriptor, list[IndexedPlan]]]:
-    """Site-sort the unit's plans and chunk them into site-range shards."""
-    ordered = sorted(plans, key=lambda pair: (pair[1].site_index, pair[0]))
+    """Chunk the unit's plans, in serve order, into site-range shards."""
+    ordered = [indexed for _, site_plans in _checkpoint_schedule(plans)
+               for indexed in site_plans]
     shards = []
     for shard_index, start in enumerate(range(0, len(ordered), shard_size)):
         chunk = ordered[start:start + shard_size]
@@ -282,11 +282,9 @@ def compile_campaign(spec: CampaignSpec) -> list[CompiledUnit]:
 
 
 def execute_shard(
-    unit: CompiledUnit,
-    plans: list[IndexedPlan],
-    checkpoint_interval: int | None = None,
+    unit: CompiledUnit, plans: list[IndexedPlan]
 ) -> list[tuple[int, FaultRecord]]:
-    """Execute one shard's injections; records sorted by run index.
+    """Execute one shard's injections; records in serve order.
 
     Pure and deterministic: re-executing a shard (after a crash, on
     another host, years later) reproduces the identical record list.
@@ -301,9 +299,8 @@ def execute_shard(
     summary stay byte-stable with the flag on or off.
     """
     ctx = _ShardContext(unit.program, unit.golden, "main", (),
-                        checkpoint_interval, telemetry=True, trail=unit.trail)
+                        telemetry=True, trail=unit.trail)
     results, _, _ = _serve(ctx, None, plans)
-    results.sort(key=lambda pair: pair[0])
     return [
         (run, replace(record,
                       instruction_uid=unit.uid_map.get(record.instruction_uid)
@@ -411,8 +408,7 @@ def _worker_entry(
             time.sleep(3600.0)  # test hook: hold the lease until killed
         if attempt <= config.fail_shards.get(sid, 0):
             os._exit(21)  # test hook: simulated worker crash
-        results = execute_shard(state.unit, state.plans,
-                                service.spec.checkpoint_interval)
+        results = execute_shard(state.unit, state.plans)
         _write_segment(service._segment_path(sid), results, config.fsync)
         code = 0
     except BaseException:
@@ -624,7 +620,7 @@ class CampaignService:
         if len(records) != state.descriptor.plan_count:
             return False
         indices = [record.run_index for record in records]
-        return indices == sorted(run for run, _ in state.plans)
+        return indices == [run for run, _ in state.plans]
 
     def _note_buffer(self, resident_records: int) -> None:
         self.peak_record_buffer = max(self.peak_record_buffer,
@@ -720,8 +716,7 @@ class CampaignService:
                     if attempt <= self.config.fail_shards.get(
                             state.shard_id, 0):
                         raise ServiceError("injected test failure")
-                    results = execute_shard(state.unit, state.plans,
-                                            self.spec.checkpoint_interval)
+                    results = execute_shard(state.unit, state.plans)
                     _write_segment(self._segment_path(state.shard_id),
                                    results, self.config.fsync)
                 except Exception as exc:
@@ -807,32 +802,26 @@ class CampaignService:
     def _merge_unit(
         self, unit: CompiledUnit, aggregate: TelemetryAggregate
     ) -> str:
-        """K-way merge the unit's segments into run-index-ordered JSONL.
+        """Concatenate the unit's segments, in shard order, into one JSONL.
 
-        Each segment is internally run-index-sorted, so a heap merge over
-        the open segment streams yields the global run-index order while
-        holding one line per segment in memory. Lines are copied verbatim
-        (they were serialized deterministically at execution time), so the
-        output file is a pure, byte-stable function of the segment set.
+        Shards are contiguous ranges of the serve order and each segment
+        is in serve order, so the concatenation is the unit's serve
+        order. Lines are copied verbatim (they were serialized
+        deterministically at execution time), so the output file is a
+        pure, byte-stable function of the segment set.
         """
-        paths = [self._segment_path(descriptor.shard_id)
-                 for descriptor, _ in unit.shards]
-
-        def stream(path: str) -> Iterator[tuple[int, str]]:
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        yield json.loads(line)["run_index"], line
-
         out_path = self._results_path(unit.unit_id)
         tmp = f"{out_path}.tmp.{os.getpid()}"
         try:
             with open(tmp, "w", encoding="utf-8") as out:
-                for run_index, line in heapq.merge(
-                    *[stream(path) for path in paths]
-                ):
-                    out.write(line)
-                    aggregate.add(FaultRecord.from_json(json.loads(line)))
+                for descriptor, _ in unit.shards:
+                    path = self._segment_path(descriptor.shard_id)
+                    with open(path, encoding="utf-8") as segment:
+                        for line in segment:
+                            if line.strip():
+                                out.write(line)
+                                aggregate.add(
+                                    FaultRecord.from_json(json.loads(line)))
                 out.flush()
                 if self.config.fsync:
                     os.fsync(out.fileno())

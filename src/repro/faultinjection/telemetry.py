@@ -86,9 +86,10 @@ class CheckpointStats:
     """Execution-strategy counters for one checkpointed campaign.
 
     ``snapshot_bytes`` is the payload estimate of every cursor snapshot
-    taken (dirty memory pages plus register/frame words), not process RSS;
-    ``fast_forward_sites`` totals the sites each injection replayed between
-    its region checkpoint and its own fault site.
+    taken (dirty memory pages plus register/frame words), not process RSS.
+    ``fast_forward_sites`` is always 0: every fault site is its own
+    checkpoint, so no injection replays sites before its flip. The field
+    stays for the readers of that counter.
     """
 
     snapshots: int = 0
@@ -200,17 +201,14 @@ class JsonlSink:
 
     Context-manager friendly; each record is serialized to a single
     ``write`` call (so a killed campaign can tear at most the final line,
-    never interleave two). ``fsync=True`` additionally flushes and fsyncs
-    after every record, making each line durable the moment ``write``
-    returns — the mode the campaign service's journals run in. ``close``
-    finalizes the file (always flushing; fsyncing in fsync mode).
-    Incremental campaigns append to an existing file with ``mode="a"``.
+    never interleave two). The file is truncated on open. :meth:`sync`
+    forces the written lines to stable storage; the service calls it
+    before atomically renaming a shard segment into place.
     """
 
-    def __init__(self, path, mode: str = "w", fsync: bool = False) -> None:
+    def __init__(self, path) -> None:
         self.path = path
-        self.fsync = fsync
-        self._handle: IO[str] | None = open(path, mode, encoding="utf-8")
+        self._handle: IO[str] | None = open(path, "w", encoding="utf-8")
         self.written = 0
 
     def write(self, record: FaultRecord) -> None:
@@ -218,8 +216,6 @@ class JsonlSink:
             raise ValueError(f"sink {self.path} is closed")
         self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
         self.written += 1
-        if self.fsync:
-            self.sync()
 
     def sync(self) -> None:
         """Flush buffered lines and force them to stable storage."""
@@ -230,9 +226,6 @@ class JsonlSink:
 
     def close(self) -> None:
         if self._handle is not None:
-            if self.fsync:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
 

@@ -58,20 +58,13 @@ def assert_origin_maps_identical(actual_records, reference_records,
             f"origin {origin!r} counts diverge{note}")
 
 
-def assert_jsonl_identical(actual_path, reference_path, ordered=True):
-    """Two JSONL sinks must contain the same records.
+def assert_jsonl_identical(actual_path, reference_path):
+    """Two JSONL sinks must hold the same bytes.
 
-    ``ordered=True`` demands byte identity; ``ordered=False`` compares
-    the sorted line sets (for engines that stream in site order rather
-    than run-index order).
+    Every campaign path writes records in the one serve order (by fault
+    site, then run index), so identity is byte identity.
     """
     actual_bytes = Path(actual_path).read_bytes()
     reference_bytes = Path(reference_path).read_bytes()
-    if ordered:
-        assert actual_bytes == reference_bytes, (
-            f"JSONL bytes diverge: {actual_path} != {reference_path}")
-        return
-    actual_lines = sorted(actual_bytes.decode("utf-8").splitlines())
-    reference_lines = sorted(reference_bytes.decode("utf-8").splitlines())
-    assert actual_lines == reference_lines, (
-        f"JSONL record sets diverge: {actual_path} != {reference_path}")
+    assert actual_bytes == reference_bytes, (
+        f"JSONL bytes diverge: {actual_path} != {reference_path}")

@@ -23,7 +23,6 @@ from repro.faultinjection.compose import (
     compose_campaign,
     trace_sections,
 )
-from repro.faultinjection.telemetry import read_jsonl
 from repro.machine.cpu import Machine
 from repro.minic import compile_to_ir
 from repro.pipeline import build_variants
@@ -269,17 +268,7 @@ class TestSectionCache:
 
 
 class TestCampaignParityFixes:
-    """The satellite fixes: jsonl_mode threading and IR prune parity."""
-
-    def test_jsonl_append_mode_accumulates(self, built, tmp_path):
-        path = tmp_path / "campaign.jsonl"
-        solo = tmp_path / "second.jsonl"
-        run_campaign(built["knn"], samples=5, seed=1, jsonl_path=path)
-        first_bytes = path.read_bytes()
-        run_campaign(built["knn"], samples=5, seed=2, jsonl_path=path,
-                     jsonl_mode="a")
-        run_campaign(built["knn"], samples=5, seed=2, jsonl_path=solo)
-        assert path.read_bytes() == first_bytes + solo.read_bytes()
+    """JSONL truncation and IR prune parity."""
 
     def test_jsonl_default_mode_truncates(self, built, tmp_path):
         path = tmp_path / "campaign.jsonl"
@@ -289,28 +278,8 @@ class TestCampaignParityFixes:
         run_campaign(built["knn"], samples=5, seed=2, jsonl_path=solo)
         assert path.read_bytes() == solo.read_bytes()
 
-    def test_invalid_jsonl_mode_raises(self, built, tmp_path):
-        with pytest.raises(InjectionError, match="jsonl_mode"):
-            run_campaign(built["knn"], samples=2, seed=1,
-                         jsonl_path=tmp_path / "x.jsonl", jsonl_mode="x")
-
-    def test_ir_campaign_jsonl_append(self, tmp_path):
-        module = compile_to_ir(get_workload("pathfinder").source(1))
-        path = tmp_path / "ir.jsonl"
-        run_ir_campaign(module, samples=3, seed=1, jsonl_path=path)
-        run_ir_campaign(module, samples=3, seed=2, jsonl_path=path,
-                        jsonl_mode="a")
-        assert len(read_jsonl(path)) == 6
-
     def test_ir_prune_raises_descriptive_error(self):
         module = compile_to_ir(get_workload("pathfinder").source(1))
         with pytest.raises(InjectionError,
                            match="assembly-level only"):
             run_ir_campaign(module, samples=2, seed=1, prune=True)
-
-    def test_compose_jsonl_append_mode(self, built, tmp_path):
-        path = tmp_path / "composed.jsonl"
-        run_composed(built["knn"], telemetry=False, jsonl_path=path)
-        run_composed(built["knn"], telemetry=False, jsonl_path=path,
-                     jsonl_mode="a")
-        assert len(read_jsonl(path)) == 2 * SAMPLES

@@ -112,16 +112,18 @@ class TestBitIdentity:
                 == on.pruning_stats.executed_injections)
         assert on.convergence_stats.runs <= SAMPLES
 
-    def test_converge_interval_does_not_change_results(self, built):
+    def test_pruned_converged_stream_matches_unpruned_bytes(self, built,
+                                                             tmp_path):
+        """Prune and converge together still write the plain campaign's
+        serve-order stream, byte for byte."""
         program = built["bfs"]["ferrum"]
-        reference = run_campaign(program, samples=SAMPLES, seed=SEED,
-                                 telemetry=True)
-        for interval in (16, 50, 1000):
-            tuned = run_campaign(program, samples=SAMPLES, seed=SEED,
-                                 telemetry=True, converge=True,
-                                 converge_interval=interval)
-            assert_campaigns_identical(tuned, reference,
-                                       context=f"interval={interval}")
+        path = tmp_path / "converge-prune.jsonl"
+        plain_path = tmp_path / "plain.jsonl"
+        run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
+                     prune=True, converge=True, jsonl_path=path)
+        run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
+                     jsonl_path=plain_path)
+        assert_jsonl_identical(path, plain_path)
 
 
 class TestComposeAndService:
@@ -240,89 +242,3 @@ class TestStatsAndErrors:
         ir = compile_to_ir(get_workload("bfs").source(1))
         with pytest.raises(InjectionError, match="assembly-level only"):
             run_ir_campaign(ir, samples=2, converge=True)
-
-
-class TestRunOrderedWriterBound:
-    """Satellite: the pruned-campaign reorder buffer is bounded and eager.
-
-    The pathological arrival order for the old implementation — every
-    synthesized record pre-pushed, every duplicate clone materialized at
-    representative-arrival time — made the buffer O(campaign). The
-    rewritten buffer holds only out-of-order executed records plus
-    representatives with pending clones; ``peak_buffer`` pins the bound.
-    """
-
-    @staticmethod
-    def _record(run_index):
-        from repro.faultinjection.outcome import Outcome
-        from repro.faultinjection.telemetry import FaultRecord
-
-        return FaultRecord(
-            run_index=run_index, level="asm", site_index=run_index,
-            instruction="nop", mnemonic="nop", origin="app",
-            register="rax", bit=0, outcome=Outcome.BENIGN,
-            detection_latency=None,
-        )
-
-    class _Spy:
-        def __init__(self):
-            self.seen = []
-
-        def write(self, record):
-            self.seen.append(record.run_index)
-
-    def test_pathological_order_stays_bounded(self):
-        """90 synthesized runs, one late representative with clones spread
-        across the index space: peak residency stays O(executed), not
-        O(campaign)."""
-        from repro.faultinjection.campaign import _RunOrderedWriter
-        from repro.faultinjection.equivalence import PruningAnalysis
-
-        total = 100
-        executed = (99, 50, 0)               # arrive in reverse run order
-        clones = {0: [25, 75], 50: [60]}
-        synthesized = [
-            (run, self._record(run)) for run in range(total)
-            if run not in executed
-            and run not in {c for cs in clones.values() for c in cs}
-        ]
-        analysis = PruningAnalysis(synthesized=synthesized,
-                                   duplicates=clones)
-        sink = self._Spy()
-        writer = _RunOrderedWriter(sink, analysis)
-        assert sink.seen == []               # run 0 is executed, not synth
-        writer.write(self._record(99))       # maximally out of order
-        writer.write(self._record(50))
-        assert sink.seen == []
-        writer.write(self._record(0))        # releases the whole campaign
-        assert sink.seen == list(range(total))
-        # Peak: two pending executed records (99, 50) plus at most two
-        # retained representatives — nowhere near the 100-run campaign.
-        assert writer.peak_buffer <= 4
-
-    def test_representative_released_after_last_clone(self):
-        from repro.faultinjection.campaign import _RunOrderedWriter
-        from repro.faultinjection.equivalence import PruningAnalysis
-
-        analysis = PruningAnalysis(
-            synthesized=[(1, self._record(1)), (3, self._record(3))],
-            duplicates={0: [2, 4]},
-        )
-        sink = self._Spy()
-        writer = _RunOrderedWriter(sink, analysis)
-        writer.write(self._record(0))
-        assert sink.seen == [0, 1, 2, 3, 4]
-        assert writer._rep_records == {}     # dropped at clone 4's flush
-        assert writer.peak_buffer <= 1
-
-    def test_streamed_file_matches_buffered_order(self, built, tmp_path):
-        program = built["bfs"]["ferrum"]
-        path = tmp_path / "converge-prune.jsonl"
-        result = run_campaign(program, samples=SAMPLES, seed=SEED,
-                              telemetry=True, prune=True, converge=True,
-                              jsonl_path=path)
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["run_index"] for line in lines] \
-            == list(range(SAMPLES))
-        assert lines == [json.dumps(record.to_json(), sort_keys=True)
-                         for record in result.records]

@@ -185,15 +185,20 @@ class TestDurableService:
                                clean.results["kmeans-dme"])
 
     def test_service_matches_flat_campaign(self, built, tmp_path):
+        """The service's result file holds the flat campaign's stream, in
+        the same serve order (instruction uids aside: the service writes
+        program-local ordinals)."""
         report = serve_campaign(tmp_path / "state", self.SPEC, self._config())
-        flat = run_campaign(built["kmeans"], samples=self.SPEC.samples,
-                            seed=self.SPEC.seed, telemetry=True)
-        with open(report.results["kmeans-dme"], encoding="utf-8") as handle:
-            served = [json.loads(line) for line in handle]
-        assert [r["site_index"] for r in served] \
-            == [r.site_index for r in flat.records]
-        assert [r["outcome"] for r in served] \
-            == [r.outcome.value for r in flat.records]
+        flat_path = tmp_path / "flat.jsonl"
+        run_campaign(built["kmeans"], samples=self.SPEC.samples,
+                     seed=self.SPEC.seed, jsonl_path=flat_path)
+
+        def stream(path):
+            with open(path, encoding="utf-8") as handle:
+                return [(r["run_index"], r["site_index"], r["outcome"])
+                        for r in map(json.loads, handle)]
+
+        assert stream(report.results["kmeans-dme"]) == stream(flat_path)
 
 
 class TestCoverageGate:

@@ -1,10 +1,12 @@
-"""The one campaign executor: process-count invariance and up-front checks.
+"""The one campaign executor: one serve order, process-count invariance
+and up-front checks.
 
 Flat assembly, IR and composed campaigns all run their shards through the
-same serve function, in-process or on a fork pool. The pool streams shard
-results back in order, so the JSONL bytes, records and merged
-checkpoint/convergence stats of a campaign must not depend on
-``processes``. Bad arguments must be rejected before any work runs.
+same serve function, in-process or on a fork pool, and write records in
+its one serve order (by fault site, then run index). The JSONL bytes of a
+campaign therefore do not depend on the engine, ``prune``, composition or
+``processes``, and neither do its records or merged checkpoint/convergence
+stats. Bad arguments must be rejected before any work runs.
 """
 
 import pytest
@@ -18,9 +20,6 @@ from repro.workloads import get_workload
 
 SAMPLES = 24
 SEED = 3
-#: A checkpoint interval coarse enough that regions hold several plans, so
-#: a shard cut that split a region would take its snapshot twice.
-COARSE = 10_000
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +39,39 @@ def _jsonl_bytes(run, tmp_path, tag, **kwargs):
     return path.read_bytes()
 
 
+class TestOneServeOrder:
+    """Every campaign path writes the default path's JSONL bytes."""
+
+    @pytest.mark.parametrize("run, kwargs", (
+        (run_campaign, dict(engine="replay")),
+        (run_campaign, dict(prune=True)),
+        (run_campaign, dict(processes=2)),
+        (run_campaign, dict(processes=2, prune=True)),
+        (compose_campaign, dict()),
+        (compose_campaign, dict(prune=True)),
+    ), ids=("replay", "prune", "processes2", "processes2-prune", "compose",
+            "compose-prune"))
+    def test_asm(self, program, tmp_path, run, kwargs):
+        default = _jsonl_bytes(lambda **more: run_campaign(program, **more),
+                               tmp_path, "default")
+        other = _jsonl_bytes(lambda **more: run(program, **kwargs, **more),
+                             tmp_path, "other")
+        assert default and other == default
+
+    def test_ir_replay(self, build, tmp_path):
+        def run(**more):
+            return run_ir_campaign(build["raw"].ir, **more)
+
+        checkpoint = _jsonl_bytes(run, tmp_path, "checkpoint")
+        replay = _jsonl_bytes(run, tmp_path, "replay", engine="replay")
+        assert checkpoint and replay == checkpoint
+
+
 class TestJsonlIndependentOfProcesses:
     @pytest.mark.parametrize("kwargs", (
         dict(),
         dict(prune=True),
-        dict(checkpoint_interval=COARSE),
-    ), ids=("unpruned", "pruned", "interval"))
+    ), ids=("unpruned", "pruned"))
     def test_flat(self, program, tmp_path, kwargs):
         def run(**more):
             return run_campaign(program, **more)
@@ -65,14 +91,9 @@ class TestJsonlIndependentOfProcesses:
     @pytest.mark.parametrize("kwargs", (
         dict(),
         dict(prune=True),
-        dict(checkpoint_interval=COARSE),
-    ), ids=("unpruned", "pruned", "interval"))
+    ), ids=("unpruned", "pruned"))
     def test_compose(self, program, tmp_path, kwargs):
-        """Composed streams equal the flat one, whatever the process count.
-
-        With a coarse interval most sections start past their first
-        region's checkpoint and serve it from the section-entry snapshot.
-        """
+        """Composed streams equal the flat one, whatever the process count."""
         def run(**more):
             return compose_campaign(program, **kwargs, **more)
 
@@ -93,11 +114,9 @@ class TestStatsIndependentOfProcesses:
         assert parallel.convergence_stats == sequential.convergence_stats
         assert parallel.records == sequential.records
 
-    @pytest.mark.parametrize("interval", (None, COARSE))
-    def test_flat_asm(self, program, interval):
+    def test_flat_asm(self, program):
         runs = [run_campaign(program, samples=SAMPLES, seed=SEED,
                              telemetry=True, converge=True,
-                             checkpoint_interval=interval,
                              processes=processes)
                 for processes in (1, 2)]
         assert runs[0].checkpoint_stats.snapshots > 0
@@ -132,9 +151,6 @@ class TestArgumentsValidatedUpFront:
 
     @pytest.mark.parametrize("kwargs, message", (
         (dict(engine="warp"), "unknown engine"),
-        (dict(checkpoint_interval=0), "interval"),
-        (dict(engine="replay", checkpoint_interval=0), "interval"),
-        (dict(jsonl_mode="x"), "jsonl_mode"),
         (dict(processes=0), "processes"),
         (dict(engine="replay", processes=2), "sequential reference"),
     ))
@@ -145,23 +161,10 @@ class TestArgumentsValidatedUpFront:
         with pytest.raises(InjectionError, match=message):
             run_ir_campaign(build["raw"].ir, samples=2, **kwargs)
 
-    def test_compose_bad_jsonl_mode_does_no_work(self, program, tmp_path):
-        cache_dir = tmp_path / "cache"
-        with pytest.raises(InjectionError, match="jsonl_mode"):
-            compose_campaign(program, samples=SAMPLES, seed=SEED,
-                             jsonl_path=tmp_path / "out.jsonl",
-                             jsonl_mode="x", cache_dir=cache_dir)
-        assert not cache_dir.exists() or not any(cache_dir.iterdir())
-        assert not (tmp_path / "out.jsonl").exists()
-
-    @pytest.mark.parametrize("kwargs, message", (
-        (dict(checkpoint_interval=0), "interval"),
-        (dict(processes=0), "processes"),
-    ))
-    def test_compose_all_hit(self, program, tmp_path, kwargs, message):
+    def test_compose_all_hit(self, program, tmp_path):
         cache_dir = tmp_path / "cache"
         compose_campaign(program, samples=SAMPLES, seed=SEED,
                          cache_dir=cache_dir)
-        with pytest.raises(InjectionError, match=message):
+        with pytest.raises(InjectionError, match="processes"):
             compose_campaign(program, samples=SAMPLES, seed=SEED,
-                             cache_dir=cache_dir, **kwargs)
+                             cache_dir=cache_dir, processes=0)

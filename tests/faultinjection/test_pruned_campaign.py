@@ -4,7 +4,7 @@ Pruning (``run_campaign(prune=True)``) classifies statically-masked fault
 sites from the golden trace and collapses outcome-equivalent dynamic sites
 into classes injected once. It is pure execution strategy: for any fixed
 seed, the pruned campaign must report exactly the same aggregate outcome
-counts, telemetry records, per-origin maps and JSONL content as the
+counts, telemetry records, per-origin maps and JSONL bytes as the
 unpruned one — only ``pruning_stats`` (and wall-clock) may differ.
 """
 
@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.faultinjection.campaign import run_campaign
+from repro.faultinjection.equivalence import PruningStats
 from repro.pipeline import build_variants
 from repro.workloads import get_workload
 from tests.faultinjection.parity import (
@@ -76,9 +77,8 @@ class TestPrunedBitIdentity:
         assert_origin_maps_identical(pruned.records, plain.records)
 
     def test_jsonl_content_identical(self, built, tmp_path):
-        """The pruned campaign's JSONL sink must contain exactly the same
-        records (run-index order; the unpruned checkpoint engine streams in
-        site order, so compare as sorted line sets)."""
+        """The pruned campaign's JSONL sink must hold exactly the unpruned
+        campaign's bytes: both stream in serve order."""
         program = built["bfs"]["ferrum"]
         plain_path = tmp_path / "plain.jsonl"
         pruned_path = tmp_path / "pruned.jsonl"
@@ -86,7 +86,7 @@ class TestPrunedBitIdentity:
                      jsonl_path=plain_path)
         run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
                      jsonl_path=pruned_path, prune=True)
-        assert_jsonl_identical(pruned_path, plain_path, ordered=False)
+        assert_jsonl_identical(pruned_path, plain_path)
         # and the pruned file is complete: one record per sample
         pruned_lines = pruned_path.read_text().splitlines()
         assert len(pruned_lines) == SAMPLES
@@ -135,57 +135,59 @@ class TestPruningStats:
 
 
 class TestPrunedStreaming:
-    """Pruned campaigns must stream JSONL incrementally (the PR 2 contract),
-    not buffer every record until the end — while keeping the file
-    byte-identical to the buffered run-index order."""
+    """Pruned plans are verdicts inside the executor loop: the stream is
+    the unpruned campaign's serve-order stream, byte for byte."""
 
-    def test_pruned_file_is_run_index_ordered_and_complete(self, built,
-                                                           tmp_path):
+    def test_pruned_file_matches_unpruned_bytes_and_is_complete(
+            self, built, tmp_path):
         program = built["knn"]["ferrum"]
         path = tmp_path / "pruned.jsonl"
+        plain_path = tmp_path / "plain.jsonl"
         result = run_campaign(program, samples=SAMPLES, seed=SEED,
                               jsonl_path=path, prune=True)
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["run_index"] for line in lines] \
+        run_campaign(program, samples=SAMPLES, seed=SEED,
+                     jsonl_path=plain_path)
+        assert_jsonl_identical(path, plain_path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert sorted(record["run_index"] for record in records) \
             == list(range(SAMPLES))
-        assert lines == [json.dumps(record.to_json(), sort_keys=True)
-                         for record in result.records]
+        assert [(r["site_index"], r["run_index"]) for r in records] \
+            == sorted((r.site_index, r.run_index) for r in result.records)
 
-    def test_records_stream_as_they_complete(self):
-        """Unit contract of the reorder buffer: records flush the moment
-        the run-index prefix is contiguous, duplicates expand with their
-        representative, synthesized records are available up front."""
-        from repro.faultinjection.campaign import _RunOrderedWriter
-        from repro.faultinjection.equivalence import PruningAnalysis
-        from repro.faultinjection.outcome import Outcome
-        from repro.faultinjection.telemetry import FaultRecord
 
-        def record(run_index):
-            return FaultRecord(
-                run_index=run_index, level="asm", site_index=run_index,
-                instruction="nop", mnemonic="nop", origin="app",
-                register="rax", bit=0, outcome=Outcome.BENIGN,
-                detection_latency=None,
-            )
+class TestPrunedWork:
+    """Serving pruned plans in the executor loop does exactly the work the
+    pruned campaign did before: the same prune verdicts, and a snapshot
+    and a restore only where a plan executes (knn/ferrum, 25 samples,
+    seed 21, pinned)."""
 
-        class Spy:
-            def __init__(self):
-                self.seen = []
+    def test_stats_pinned(self, built):
+        result = run_campaign(built["knn"]["ferrum"], samples=SAMPLES,
+                              seed=SEED, telemetry=True, prune=True)
+        assert result.pruning_stats == PruningStats(
+            samples=25, classified=22, executed_injections=3,
+            statically_masked=0, detected=19, benign=3, sdc=0,
+            duplicates_collapsed=0, classes=25, scan_events=75)
+        stats = result.checkpoint_stats
+        assert (stats.snapshots, stats.restores, stats.snapshot_bytes) \
+            == (3, 3, 25368)
+        assert stats.fast_forward_sites == 0
 
-            def write(self, rec):
-                self.seen.append(rec.run_index)
+    def test_duplicates_cloned_in_serve_order(self, tmp_path):
+        """A duplicate clones its representative's result at its own place
+        in the stream, sequentially and across pool shards (generated
+        program 7, 120 samples, seed 2: two duplicates)."""
+        from repro.fuzz.generator import generate_program
 
-        # synthesized: runs 1 and 5; duplicates: run 4 clones run 0.
-        analysis = PruningAnalysis(
-            synthesized=[(1, record(1)), (5, record(5))],
-            duplicates={0: [4]},
-        )
-        sink = Spy()
-        writer = _RunOrderedWriter(sink, analysis)
-        assert sink.seen == []          # nothing contiguous from 0 yet
-        writer.write(record(2))
-        assert sink.seen == []          # still waiting on run 0
-        writer.write(record(0))         # releases 0,1,2 (clone 4 pends on 3)
-        assert sink.seen == [0, 1, 2]
-        writer.write(record(3))         # releases 3, then pending 4 and 5
-        assert sink.seen == [0, 1, 2, 3, 4, 5]
+        program = build_variants(generate_program(7),
+                                 names=("raw",))["raw"].asm
+        paths = {tag: tmp_path / f"{tag}.jsonl"
+                 for tag in ("plain", "pruned", "pooled")}
+        run_campaign(program, samples=120, seed=2, jsonl_path=paths["plain"])
+        pruned = run_campaign(program, samples=120, seed=2, prune=True,
+                              jsonl_path=paths["pruned"])
+        run_campaign(program, samples=120, seed=2, prune=True, processes=2,
+                     jsonl_path=paths["pooled"])
+        assert pruned.pruning_stats.duplicates_collapsed == 2
+        assert_jsonl_identical(paths["pruned"], paths["plain"])
+        assert_jsonl_identical(paths["pooled"], paths["plain"])

@@ -21,6 +21,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.faultinjection.campaign import run_campaign
 from repro.faultinjection.service import (
+    SERVICE_VERSION,
     CampaignSpec,
     ServiceConfig,
     backoff_delay,
@@ -146,11 +147,18 @@ class TestServeInProcess:
         for outcome, count in flat.outcomes.counts.items():
             assert aggregate.counts[outcome] == count
 
-    def test_results_are_run_index_ordered(self, served):
-        _, report = served
-        with open(report.results["bfs-ferrum"], encoding="utf-8") as handle:
-            runs = [json.loads(line)["run_index"] for line in handle]
-        assert runs == list(range(SPEC.samples))
+    def test_results_are_segments_concatenated_in_serve_order(self,
+                                                              served):
+        state_dir, report = served
+        segments = sorted((Path(state_dir) / "segments").iterdir())
+        assert len(segments) == 3
+        result = Path(report.results["bfs-ferrum"]).read_bytes()
+        assert result == b"".join(path.read_bytes() for path in segments)
+        records = [json.loads(line) for line in result.splitlines()]
+        order = [(record["site_index"], record["run_index"])
+                 for record in records]
+        assert order == sorted(order)
+        assert sorted(run for _, run in order) == list(range(SPEC.samples))
 
     def test_record_buffer_bounded_by_shard_size(self, served):
         _, report = served
@@ -200,6 +208,19 @@ class TestResumeEdges:
         with pytest.raises(ServiceError, match="no campaign"):
             resume_campaign(tmp_path / "state", _config())
 
+    def test_version_1_state_dir_refuses(self, tmp_path):
+        # Version 1 wrote segments in run-index order; resuming into serve
+        # order would mix the two in one result file.
+        state_dir = tmp_path / "state"
+        os.makedirs(state_dir)
+        with open(state_dir / "journal.jsonl", "w", encoding="utf-8") as h:
+            h.write(json.dumps({"type": "campaign", "version": 1,
+                                "spec": TINY.to_json()},
+                               sort_keys=True) + "\n")
+        with pytest.raises(ServiceError, match="service version 1"):
+            resume_campaign(state_dir, _config())
+        assert not os.listdir(state_dir / "segments")
+
     def test_leases_do_not_count_toward_quarantine(self, tmp_path):
         # A supervisor SIGKILLed mid-lease leaves lease records with no
         # outcome; replay must not treat them as failures, or chaos kills
@@ -207,7 +228,8 @@ class TestResumeEdges:
         state_dir = tmp_path / "state"
         os.makedirs(state_dir)
         with open(state_dir / "journal.jsonl", "w", encoding="utf-8") as h:
-            h.write(json.dumps({"type": "campaign", "version": 1,
+            h.write(json.dumps({"type": "campaign",
+                                "version": SERVICE_VERSION,
                                 "spec": TINY.to_json()},
                                sort_keys=True) + "\n")
             for attempt in range(1, 4):
@@ -225,7 +247,8 @@ class TestResumeEdges:
         orphan_dir = tmp_path / "orphan"
         os.makedirs(orphan_dir / "segments")
         with open(orphan_dir / "journal.jsonl", "w", encoding="utf-8") as h:
-            h.write(json.dumps({"type": "campaign", "version": 1,
+            h.write(json.dumps({"type": "campaign",
+                                "version": SERVICE_VERSION,
                                 "spec": SPEC.to_json()},
                                sort_keys=True) + "\n")
         for name in os.listdir(baseline_dir / "segments"):
@@ -243,7 +266,8 @@ class TestResumeEdges:
         state_dir = tmp_path / "state"
         os.makedirs(state_dir / "segments")
         with open(state_dir / "journal.jsonl", "w", encoding="utf-8") as h:
-            h.write(json.dumps({"type": "campaign", "version": 1,
+            h.write(json.dumps({"type": "campaign",
+                                "version": SERVICE_VERSION,
                                 "spec": TINY.to_json()},
                                sort_keys=True) + "\n")
         (state_dir / "segments" / f"{TINY_SHARD}.jsonl").write_text(
