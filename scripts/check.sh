@@ -38,6 +38,11 @@ echo "== tier-1 tests (fused execution engine) =="
 FERRUM_ENGINE=fused PYTHONPATH=src python -m pytest tests -q -m "not perf" \
     || status=$?
 
+echo "== benchmark tests =="
+# Mirrors the CI perfbench job: the repository benchmark's probes, pins
+# and input draws (the tests put src/ on the path themselves).
+python3 -m pytest perfbench/tests -q || status=$?
+
 echo "== dme campaign smoke (durable service CLI) =="
 # Mirrors the CI tests-dme job: an end-to-end --techniques dme campaign
 # through the durable service, which no other stage runs.

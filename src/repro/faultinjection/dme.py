@@ -178,6 +178,8 @@ class DmeMachine(Machine):
         # function/args arguments the base contract ignores) look up their
         # reference trace through it.
         self._dme_key: tuple[str, tuple[int, ...]] | None = None
+        # Runs the secondary variant for timed runs; built on the first one.
+        self._secondary: Machine | None = None
 
     def _prepare(self, function: str, args: tuple[int, ...]) -> int:
         self._dme_key = (function, tuple(args))
@@ -203,11 +205,14 @@ class DmeMachine(Machine):
         max_instructions: int | None,
     ) -> int:
         function, args = key
-        secondary = Machine(self.program.secondary, layout=self.layout,
-                            max_instructions=self.max_instructions,
-                            engine=self.engine)
-        result = secondary.run(function=function, args=args, timing=timing,
-                               max_instructions=max_instructions)
+        if self._secondary is None:
+            self._secondary = Machine(
+                self.program.secondary, layout=self.layout,
+                max_instructions=self.max_instructions, engine=self.engine,
+            )
+        result = self._secondary.run(function=function, args=args,
+                                     timing=timing,
+                                     max_instructions=max_instructions)
         return result.cycles or 0
 
     def run(

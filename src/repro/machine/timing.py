@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from repro.asm.instructions import Instruction, InstrKind
-from repro.asm.operands import Mem, Reg
+from repro.asm.operands import Reg
 from repro.asm.registers import RegisterKind
 
 
@@ -59,14 +61,17 @@ class TimingConfig:
 
     fetch_width: int = 4
     rob_size: int = 48
-    ports: dict[Port, int] = field(
+    # Read-only: a config is a value. Left out of the hash (a mapping proxy
+    # has none) but compared by ``==``, so equal configs hash equal.
+    ports: Mapping[Port, int] = field(
         default_factory=lambda: {
             Port.INT: 2,
             Port.VEC: 2,
             Port.LOAD: 1,
             Port.STORE: 1,
             Port.BRANCH: 1,
-        }
+        },
+        hash=False,
     )
     latency_alu: int = 1
     latency_imul: int = 3
@@ -78,6 +83,10 @@ class TimingConfig:
     latency_vec_alu: int = 1
     latency_vec_insert: int = 1
     taken_branch_penalty: int = 2
+
+    def __post_init__(self) -> None:
+        # Copy, so a caller's dict mutated later cannot reach the config.
+        object.__setattr__(self, "ports", MappingProxyType(dict(self.ports)))
 
 
 def port_of(instr: Instruction) -> Port:
@@ -127,8 +136,33 @@ def latency_of(instr: Instruction, config: TimingConfig) -> int:
     return config.latency_alu
 
 
+class _Decoded(NamedTuple):
+    """What the model needs of one static instruction under one model.
+
+    Every field is a fixed function of the instruction and the config, so
+    it is resolved once (:meth:`TimingModel._decode`) instead of per
+    dynamic instance.
+    """
+
+    units: list[int]          # the model's free-cycle list for the port
+    latency: int
+    sources: tuple[str, ...]  # register roots waited on (flags included
+                              # only for non-branch flag readers)
+    dests: tuple[str, ...]    # register roots written, rflags/rsp folded in
+
+
+_STACK_KINDS = (InstrKind.PUSH, InstrKind.POP, InstrKind.CALL, InstrKind.RET)
+
+
 class TimingModel:
-    """Online model: feed instructions in trace order, read ``cycles``."""
+    """Online model: feed instructions in trace order, read ``cycles``.
+
+    The static facts of an instruction (port, latency, register sources
+    and destinations) are decoded on its first observation and kept per
+    model, keyed by the instruction object; what stays per dynamic
+    instance is the state they drive: memory granules, dependence
+    readiness, port occupancy, fetch and reorder-buffer retirement.
+    """
 
     def __init__(self, config: TimingConfig | None = None) -> None:
         self.config = config or TimingConfig()
@@ -137,6 +171,7 @@ class TimingModel:
         self._port_free: dict[Port, list[int]] = {
             port: [0] * count for port, count in self.config.ports.items()
         }
+        self._decoded: dict[Instruction, _Decoded] = {}
         self._fetch_cycle = 0
         self._fetched_this_cycle = 0
         self._retire: list[int] = [0] * self.config.rob_size
@@ -144,57 +179,25 @@ class TimingModel:
         self.cycles = 0
         self.instructions = 0
 
-    # -- internals -----------------------------------------------------------
-
-    def _fetch_slot(self) -> int:
-        """Cycle this instruction enters the window.
-
-        Bounded by fetch bandwidth and by reorder-buffer capacity: the
-        instruction ``rob_size`` positions older must have retired. This is
-        what makes sheer instruction volume cost real time — redundant
-        work is only free while it fits in the window.
-        """
-        oldest = self._retire[self.instructions % self.config.rob_size]
-        if oldest > self._fetch_cycle:
-            self._fetch_cycle = oldest
-            self._fetched_this_cycle = 0
-        slot = self._fetch_cycle
-        self._fetched_this_cycle += 1
-        if self._fetched_this_cycle >= self.config.fetch_width:
-            self._fetch_cycle += 1
-            self._fetched_this_cycle = 0
-        return slot
-
-    def _redirect_fetch(self, cycle: int) -> None:
-        if cycle > self._fetch_cycle:
-            self._fetch_cycle = cycle
-            self._fetched_this_cycle = 0
-
-    def _sources_ready(self, instr: Instruction, read_granules: list[int]) -> int:
-        ready = 0
-        for reg in instr.read_registers():
-            if reg.root != "rflags":
-                ready = max(ready, self._reg_ready.get(reg.root, 0))
-        for op in instr.operands:
-            if isinstance(op, Mem):
-                for reg in op.registers():
-                    ready = max(ready, self._reg_ready.get(reg.root, 0))
-        for granule in read_granules:
-            ready = max(ready, self._mem_ready.get(granule, 0))
+    def _decode(self, instr: Instruction) -> _Decoded:
+        # read_registers() includes the address registers of memory operands.
+        sources = [reg.root for reg in instr.read_registers()
+                   if reg.root != "rflags"]
         # Non-branch flag readers (set<cc>) wait for the flags producer;
         # branches are predicted and do not wait.
         if instr.spec.reads_flags and instr.kind is not InstrKind.JCC:
-            ready = max(ready, self._reg_ready.get("rflags", 0))
-        return ready
-
-    def _claim_port(self, port: Port, earliest: int) -> int:
-        units = self._port_free[port]
-        best = min(range(len(units)), key=lambda i: max(units[i], earliest))
-        cycle = max(units[best], earliest)
-        units[best] = cycle + 1
-        return cycle
-
-    # -- main entry ----------------------------------------------------------
+            sources.append("rflags")
+        dests = [reg.root for reg in instr.dest_registers()]
+        if instr.spec.writes_flags:
+            dests.append("rflags")
+        if instr.kind in _STACK_KINDS:
+            dests.append("rsp")
+        return _Decoded(
+            units=self._port_free[port_of(instr)],
+            latency=latency_of(instr, self.config),
+            sources=tuple(dict.fromkeys(sources)),
+            dests=tuple(dict.fromkeys(dests)),
+        )
 
     def observe(
         self,
@@ -204,30 +207,64 @@ class TimingModel:
         taken: bool,
     ) -> None:
         """Account one dynamically executed instruction."""
-        fetch = self._fetch_slot()
-        ready = self._sources_ready(instr, read_granules)
-        issue = self._claim_port(port_of(instr), max(fetch, ready))
-        latency = latency_of(instr, self.config)
+        decoded = self._decoded.get(instr)
+        if decoded is None:
+            decoded = self._decoded[instr] = self._decode(instr)
+        units, latency, sources, dests = decoded
+        config = self.config
+        slot = self.instructions % config.rob_size
+
+        # Fetch slot, bounded by fetch bandwidth and by reorder-buffer
+        # capacity: the instruction ``rob_size`` positions older must have
+        # retired. This is what makes sheer instruction volume cost real
+        # time — redundant work is only free while it fits in the window.
+        oldest = self._retire[slot]
+        if oldest > self._fetch_cycle:
+            self._fetch_cycle = oldest
+            self._fetched_this_cycle = 0
+        fetch = self._fetch_cycle
+        self._fetched_this_cycle += 1
+        if self._fetched_this_cycle >= config.fetch_width:
+            self._fetch_cycle += 1
+            self._fetched_this_cycle = 0
+
+        # Issue once sources are ready, on the port unit free soonest
+        # (the first such unit on a tie).
+        reg_ready = self._reg_ready
+        mem_ready = self._mem_ready
+        earliest = fetch
+        for root in sources:
+            cycle = reg_ready.get(root, 0)
+            if cycle > earliest:
+                earliest = cycle
+        for granule in read_granules:
+            cycle = mem_ready.get(granule, 0)
+            if cycle > earliest:
+                earliest = cycle
+        best = 0
+        issue = units[0] if units[0] > earliest else earliest
+        for index in range(1, len(units)):
+            cycle = units[index] if units[index] > earliest else earliest
+            if cycle < issue:
+                best, issue = index, cycle
+        units[best] = issue + 1
         done = issue + latency
 
-        for reg in instr.dest_registers():
-            self._reg_ready[reg.root] = done
-        if instr.spec.writes_flags:
-            self._reg_ready["rflags"] = done
+        for root in dests:
+            reg_ready[root] = done
         for granule in write_granules:
-            self._mem_ready[granule] = done
-        if instr.kind in (
-            InstrKind.PUSH, InstrKind.POP, InstrKind.CALL, InstrKind.RET,
-        ):
-            self._reg_ready["rsp"] = done
+            mem_ready[granule] = done
         if taken:
-            self._redirect_fetch(issue + 1 + self.config.taken_branch_penalty)
+            redirect = issue + 1 + config.taken_branch_penalty
+            if redirect > self._fetch_cycle:
+                self._fetch_cycle = redirect
+                self._fetched_this_cycle = 0
 
         # In-order retirement: an instruction retires no earlier than its
         # completion and no earlier than its program-order predecessor.
-        retired = max(done, self._last_retire)
+        retired = done if done > self._last_retire else self._last_retire
         self._last_retire = retired
-        self._retire[self.instructions % self.config.rob_size] = retired
+        self._retire[slot] = retired
         self.instructions += 1
         if done > self.cycles:
             self.cycles = done

@@ -145,6 +145,16 @@ class TestFaultFreeEquality:
         single = Machine(kmeans_dme.plain()).run(timing=config)
         assert paired.cycles > 1.8 * single.cycles
 
+    def test_repeated_timed_runs_charge_the_same_pair(self, kmeans_dme):
+        from repro.machine.timing import TimingConfig
+
+        config = TimingConfig()
+        pair = (Machine(kmeans_dme.plain()).run(timing=config).cycles
+                + Machine(kmeans_dme.secondary).run(timing=config).cycles)
+        machine = Machine(kmeans_dme)
+        assert [machine.run(timing=config).cycles
+                for _ in range(3)] == [pair] * 3
+
 
 class TestGeneratedPrograms:
     """Hypothesis-seeded property: decorrelation never produces a pair that

@@ -1,11 +1,15 @@
 """Timing-model tests: port classification, latency, dependence stalls."""
 
+import pytest
+
 from repro.asm.instructions import ins
 from repro.asm.operands import Imm, LabelRef, Mem, Reg
 from repro.asm.parser import parse_program
 from repro.asm.registers import get_register
 from repro.machine.cpu import Machine
+from repro.fuzz.generator import generate_program
 from repro.machine.timing import Port, TimingConfig, TimingModel, latency_of, port_of
+from repro.pipeline import build_variants
 
 
 def _reg(name):
@@ -135,6 +139,64 @@ class TestModelBehaviour:
         assert TimingModel.granules(8, 4) == [1]
 
 
+class TestConfig:
+    def test_config_hashes(self):
+        assert hash(TimingConfig()) == hash(TimingConfig())
+        assert TimingConfig() == TimingConfig()
+        assert TimingConfig(latency_load=7) != TimingConfig()
+
+    def test_ports_are_read_only(self):
+        config = TimingConfig()
+        with pytest.raises(TypeError):
+            config.ports[Port.INT] = 7
+        assert config.ports[Port.INT] == 2
+
+    def test_ports_are_copied(self):
+        ports = {Port.INT: 1, Port.VEC: 2, Port.LOAD: 1, Port.STORE: 1,
+                 Port.BRANCH: 1}
+        config = TimingConfig(ports=ports)
+        ports[Port.INT] = 9
+        assert config.ports[Port.INT] == 1
+        assert config != TimingConfig()
+
+
+def _mixed_trace():
+    """Loads feeding two ALU chains: sensitive to load latency and to the
+    number of INT units."""
+    trace = []
+    for i in range(12):
+        trace.append((ins("movq", _mem(-8 * (i % 3 + 1)), _reg("rax")),
+                      [i % 3], []))
+        trace.append((ins("addq", _reg("rax"), _reg("rbx")), [], []))
+        trace.append((ins("addq", Imm(1), _reg("rcx")), [], []))
+        trace.append((ins("addq", Imm(2), _reg("rdx")), [], []))
+    return trace
+
+
+def _cycles_of(config, trace):
+    model = TimingModel(config)
+    for instr, reads, writes in trace:
+        model.observe(instr, reads, writes, False)
+    return model.cycles
+
+
+class TestDecodeCache:
+    def test_records_do_not_leak_between_configs(self):
+        default = TimingConfig()
+        other = TimingConfig(
+            latency_load=7,
+            ports={Port.INT: 1, Port.VEC: 2, Port.LOAD: 1, Port.STORE: 1,
+                   Port.BRANCH: 1},
+        )
+        shared = _mixed_trace()
+        first = _cycles_of(default, shared)
+        second = _cycles_of(other, shared)
+        third = _cycles_of(default, shared)
+        assert first == third == _cycles_of(default, _mixed_trace())
+        assert second == _cycles_of(other, _mixed_trace())
+        assert first != second
+
+
 class TestEndToEndDeterminism:
     def test_cycles_deterministic(self, tiny_build):
         machine = Machine(tiny_build["raw"].asm)
@@ -159,3 +221,29 @@ main:
         long = Machine(parse_program(text.replace("NNN", "100")))
         assert long.run(timing=TimingConfig()).cycles > \
             short.run(timing=TimingConfig()).cycles * 5
+
+
+class TestExactCycles:
+    """Exact cycle counts, so a decode slip that moves a few cycles fails.
+
+    Recorded from the per-dynamic-instruction model before static timing
+    records existed; the generated program (seed 19) defines two functions
+    it calls, so push/pop/call/ret and stack-slot traffic are covered.
+    """
+
+    TINY = {"raw": 33, "ir-eddi": 39, "hybrid": 42, "ferrum": 41, "dme": 66}
+    GENERATED_SEED = 19
+    GENERATED = {"raw": 1645, "ir-eddi": 2066, "hybrid": 3657,
+                 "ferrum": 2300, "dme": 3290}
+
+    @staticmethod
+    def _cycles(build):
+        return {name: Machine(variant.asm).run(timing=TimingConfig()).cycles
+                for name, variant in build.variants.items()}
+
+    def test_tiny_build(self, tiny_build):
+        assert self._cycles(tiny_build) == self.TINY
+
+    def test_generated_program_with_calls(self):
+        build = build_variants(generate_program(self.GENERATED_SEED))
+        assert self._cycles(build) == self.GENERATED
