@@ -14,6 +14,7 @@ their own experiment, not recompilation.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -47,6 +48,13 @@ def selected_workloads() -> tuple[str, ...]:
 def pytest_report_header(config):
     return (f"FERRUM reproduction benchmarks: workloads={','.join(SELECTED)} "
             f"fi_samples={FI_SAMPLES} scale={SCALE}")
+
+
+def timed(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), wall seconds)`` by ``time.perf_counter``."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
 
 
 def emit(capsys, text: str) -> None:

@@ -3,9 +3,7 @@
 The checkpointed engine executes the shared golden prefix of a campaign
 once and serves every injection from an O(touched pages) snapshot, so its
 faults/sec must beat the replay engine by >= 2x at the campaign sizes these
-benchmarks actually run (``REPRO_FI_SAMPLES``, default 40). Each run also
-appends its measurements to ``BENCH_campaign_throughput.json`` so the perf
-trajectory is tracked across PRs.
+benchmarks actually run (``REPRO_FI_SAMPLES``, default 40).
 
 Outcome-equivalence pruning gets its own gate on FERRUM-protected
 variants (where most sampled sites are statically classifiable): the
@@ -22,38 +20,27 @@ Convergence early-exit gets two gates: the checkpoint engine with
 masked-fault microbench must show every converged early-site run
 finishing after <= 25% of the golden run's dynamic instructions.
 
+Every campaign is timed once with ``time.perf_counter``, and every ratio
+is compared only after the campaigns it divides are asserted to agree —
+a throughput number for a divergent engine would be meaningless. The
+measured ratios are printed by ``test_report``; repeated, CPU-clocked
+measurement lives in ``perfbench/``.
+
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_campaign_throughput.py -q``
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from conftest import FI_SAMPLES, build_for, emit
-from perf_record import (
-    append_record,
-    measure_compose_throughput,
-    measure_converge_throughput,
-    measure_throughput,
-    render_compose_table,
-    render_converge_table,
-    render_table,
-)
+from conftest import FI_SAMPLES, build_for, timed
+from repro.faultinjection.campaign import run_campaign
 
 pytestmark = pytest.mark.perf
 
 #: kmeans and lud show the engine's speedup with the most headroom at scale
-#: 1 (few early-crash shortcuts, no timeout runs at this seed); overridable
-#: for wider sweeps.
-WORKLOADS = tuple(
-    name.strip()
-    for name in os.environ.get(
-        "REPRO_THROUGHPUT_WORKLOADS", "kmeans,lud"
-    ).split(",")
-    if name.strip()
-)
+#: 1 (few early-crash shortcuts, no timeout runs at this seed).
+WORKLOADS = ("kmeans", "lud")
 SEED = 11
 MIN_SPEEDUP = 2.0
 #: Pruning gate: on ferrum-protected variants the equivalence scanner must
@@ -67,7 +54,7 @@ MAX_PRUNED_EXECUTED_FRACTION = 0.6
 MAX_COMPOSE_REINJECT_FRACTION = 0.25
 #: workload -> helper function whose edit drives the incremental gate.
 COMPOSE_EDITS = {"knn": "sq_dist", "needle": "max3"}
-#: Convergence gate: the ISSUE's bar is >= 2x on at least 2 of these
+#: Convergence gate: the bar is >= 2x on at least 2 of these
 #: three (measured 2.3-3.3x on all three at 60 samples, seed 11).
 CONVERGE_WORKLOADS = ("kmeans", "lud", "knn")
 MIN_CONVERGE_PASSERS = 2
@@ -78,22 +65,29 @@ MIN_CONVERGE_PASSERS = 2
 MAX_CONVERGED_EXECUTED_FRACTION = 0.25
 EARLY_SITE_FRACTION = 8  # flips in the first 1/8th of sites
 
-_records = []
-_compose_records = []
-_converge_records = []
+#: One line per measured ratio, printed by ``test_report``.
+_measured: list[str] = []
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_checkpoint_engine_speedup(name):
     program = build_for(name)["raw"].asm
-    record = measure_throughput(program, name, samples=FI_SAMPLES, seed=SEED)
-    append_record(record)
-    _records.append(record)
-    assert record.checkpoint_faults_per_sec > record.replay_faults_per_sec
-    assert record.speedup >= MIN_SPEEDUP, (
-        f"{name}: checkpointed engine only {record.speedup:.2f}x faster "
-        f"({record.checkpoint_faults_per_sec:.2f} vs "
-        f"{record.replay_faults_per_sec:.2f} faults/sec)"
+    replay, replay_seconds = timed(run_campaign, program, samples=FI_SAMPLES,
+                                   seed=SEED, engine="replay")
+    checkpointed, checkpoint_seconds = timed(
+        run_campaign, program, samples=FI_SAMPLES, seed=SEED,
+        engine="checkpoint")
+    assert checkpointed.outcomes.counts == replay.outcomes.counts, (
+        f"{name}: engines disagree: "
+        f"{checkpointed.outcomes.counts} != {replay.outcomes.counts}"
+    )
+    speedup = replay_seconds / checkpoint_seconds
+    _measured.append(f"{name}: checkpoint {speedup:.2f}x replay")
+    assert checkpoint_seconds < replay_seconds
+    assert speedup >= MIN_SPEEDUP, (
+        f"{name}: checkpointed engine only {speedup:.2f}x faster "
+        f"({FI_SAMPLES / checkpoint_seconds:.2f} vs "
+        f"{FI_SAMPLES / replay_seconds:.2f} faults/sec)"
     )
 
 
@@ -106,8 +100,6 @@ def test_pruned_campaign_gate(name):
     almost no statically-classifiable sites and would not exercise the
     scanner.
     """
-    from repro.faultinjection.campaign import run_campaign
-
     program = build_for(name)["ferrum"].asm
     plain = run_campaign(program, samples=FI_SAMPLES, seed=SEED)
     pruned = run_campaign(program, samples=FI_SAMPLES, seed=SEED, prune=True)
@@ -116,6 +108,8 @@ def test_pruned_campaign_gate(name):
         f"{pruned.outcomes.counts} != {plain.outcomes.counts}"
     )
     stats = pruned.pruning_stats
+    _measured.append(f"{name}: pruned campaign executed "
+                     f"{stats.executed_fraction:.0%}")
     assert stats.executed_fraction <= MAX_PRUNED_EXECUTED_FRACTION, (
         f"{name}: pruned campaign executed "
         f"{stats.executed_fraction:.0%} of {stats.samples} sampled "
@@ -130,24 +124,37 @@ def test_compose_incremental_gate(name, function, tmp_path):
     Cold composed run populates the section cache; the warm rerun must be
     a 100% hit; ``refresh=(function,)`` models an edit to that one helper
     and may only re-execute its sections plus caller regions reaching it.
-    Every composed variant is asserted bit-identical to the flat campaign
-    inside ``measure_compose_throughput`` before timing is reported.
+    Every composed run is asserted bit-identical to the flat campaign
+    before the re-injection fraction is compared.
     """
+    from repro.faultinjection.compose import compose_campaign
+
     program = build_for(name)["ferrum"].asm
-    record = measure_compose_throughput(
-        program, name, function, samples=FI_SAMPLES, seed=SEED,
-        cache_dir=tmp_path / "sections",
-    )
-    append_record(record)
-    _compose_records.append(record)
-    assert record.warm_executed_injections == 0, (
+    flat = run_campaign(program, samples=FI_SAMPLES, seed=SEED)
+    composed = {}
+    for phase, refresh in (("cold", ()), ("warm", ()),
+                           ("refresh", (function,))):
+        composed[phase] = compose_campaign(
+            program, samples=FI_SAMPLES, seed=SEED,
+            cache_dir=tmp_path / "sections", refresh=refresh,
+        )
+        assert composed[phase].outcomes.counts == flat.outcomes.counts, (
+            f"{name}: composed ({phase}) campaign diverged: "
+            f"{composed[phase].outcomes.counts} != {flat.outcomes.counts}"
+        )
+    warm = composed["warm"].compose_stats
+    reinjected = composed["refresh"].compose_stats.executed_injections
+    reinject_fraction = reinjected / FI_SAMPLES
+    _measured.append(f"{name}: editing {function} re-injected "
+                     f"{reinject_fraction:.0%}")
+    assert warm.executed_injections == 0, (
         f"{name}: warm composed campaign re-executed "
-        f"{record.warm_executed_injections} injections"
+        f"{warm.executed_injections} injections"
     )
-    assert record.warm_cache_hit_rate == 1.0
-    assert record.reinject_fraction <= MAX_COMPOSE_REINJECT_FRACTION, (
+    assert warm.hit_rate == 1.0
+    assert reinject_fraction <= MAX_COMPOSE_REINJECT_FRACTION, (
         f"{name}: editing {function} re-injected "
-        f"{record.reinject_fraction:.0%} of {record.samples} sampled "
+        f"{reinject_fraction:.0%} of {FI_SAMPLES} sampled "
         f"injections (gate: <= {MAX_COMPOSE_REINJECT_FRACTION:.0%})"
     )
 
@@ -157,29 +164,40 @@ def test_converge_speedup_gate(tmp_path):
 
     Ferrum variants — their detector instructions dominate the dynamic
     site population and most masked flips hit dead detector registers
-    early, which is exactly the population the early-exit targets.
-    ``measure_converge_throughput`` refuses to report a number unless the
-    outcome counts AND the telemetry JSONL are byte-identical with the
-    feature off, so the speedup is also a bit-identity witness.
+    early, which is exactly the population the early-exit targets. No
+    speedup counts unless the outcome counts AND the telemetry JSONL are
+    byte-identical with the feature off, so the speedup is also a
+    bit-identity witness.
     """
-    passing = []
+    speedups = {}
     for name in CONVERGE_WORKLOADS:
         program = build_for(name)["ferrum"].asm
-        record = measure_converge_throughput(
-            program, name, samples=FI_SAMPLES, seed=SEED,
-            scratch_dir=tmp_path,
+        base_path = tmp_path / f"{name}-base.jsonl"
+        conv_path = tmp_path / f"{name}-converge.jsonl"
+        baseline, baseline_seconds = timed(
+            run_campaign, program, samples=FI_SAMPLES, seed=SEED,
+            engine="checkpoint", telemetry=True, jsonl_path=base_path)
+        converged, converge_seconds = timed(
+            run_campaign, program, samples=FI_SAMPLES, seed=SEED,
+            engine="checkpoint", telemetry=True, jsonl_path=conv_path,
+            converge=True)
+        assert converged.outcomes.counts == baseline.outcomes.counts, (
+            f"{name}: convergence changed campaign outcomes: "
+            f"{converged.outcomes.counts} != {baseline.outcomes.counts}"
         )
-        append_record(record)
-        _converge_records.append(record)
-        assert record.converged_runs > 0, (
+        assert base_path.read_bytes() == conv_path.read_bytes(), (
+            f"{name}: convergence changed telemetry JSONL bytes")
+        assert converged.convergence_stats.converged > 0, (
             f"{name}: no run converged — the gate would be vacuous")
-        if record.converge_speedup >= MIN_SPEEDUP:
-            passing.append(name)
+        speedups[name] = baseline_seconds / converge_seconds
+        _measured.append(f"{name}: converge {speedups[name]:.2f}x")
+    passing = [name for name, speedup in speedups.items()
+               if speedup >= MIN_SPEEDUP]
     assert len(passing) >= MIN_CONVERGE_PASSERS, (
         f"convergence early-exit reached {MIN_SPEEDUP:.1f}x on only "
         f"{passing or 'none'} of {CONVERGE_WORKLOADS}: "
-        + ", ".join(f"{rec.workload}={rec.converge_speedup:.2f}x"
-                    for rec in _converge_records)
+        + ", ".join(f"{name}={speedup:.2f}x"
+                    for name, speedup in speedups.items())
     )
 
 
@@ -228,11 +246,7 @@ def test_masked_fault_convergence_microbench():
 
 
 def test_report(capsys):
-    if not _records and not _compose_records and not _converge_records:
+    if not _measured:
         pytest.skip("no throughput measurements collected")
-    if _records:
-        emit(capsys, render_table(_records))
-    if _compose_records:
-        emit(capsys, render_compose_table(_compose_records))
-    if _converge_records:
-        emit(capsys, render_converge_table(_converge_records))
+    with capsys.disabled():
+        print("\n" + "\n".join(_measured))

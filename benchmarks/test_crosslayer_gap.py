@@ -4,37 +4,23 @@ Measures IR-EDDI's SDC coverage twice per benchmark — with LLFI-style
 IR-level injection (the "anticipated" number) and with PINFI-style
 assembly-level injection (the "measured" number). The paper's finding: a
 non-negligible gap (28 % on average) that motivates assembly-level
-protection in the first place.
+protection in the first place. Rows come from ``run_crosslayer_gap``,
+which ``ferrum-eval gap`` also runs.
 """
 
 import pytest
 
-from conftest import FI_SAMPLES, SELECTED, build_for, emit
-from repro.evaluation.experiments import GapResult
-from repro.evaluation.metrics import sdc_coverage
+from conftest import FI_SAMPLES, SCALE, SELECTED, emit
+from repro.evaluation.experiments import GapResult, run_crosslayer_gap
 from repro.evaluation.report import render_gap
-from repro.faultinjection.campaign import run_campaign, run_ir_campaign
 
 _rows: dict[str, dict[str, object]] = {}
 
 
 def _gap_row(name: str) -> dict[str, object]:
     if name not in _rows:
-        build = build_for(name)
-        raw_ir = run_ir_campaign(build["raw"].ir, FI_SAMPLES, seed=77)
-        prot_ir = run_ir_campaign(build["ir-eddi"].ir, FI_SAMPLES, seed=77)
-        raw_asm = run_campaign(build["raw"].asm, FI_SAMPLES, seed=77)
-        prot_asm = run_campaign(build["ir-eddi"].asm, FI_SAMPLES, seed=77)
-        anticipated = sdc_coverage(raw_ir.sdc_probability,
-                                   prot_ir.sdc_probability)
-        measured = sdc_coverage(raw_asm.sdc_probability,
-                                prot_asm.sdc_probability)
-        _rows[name] = {
-            "benchmark": name,
-            "anticipated": anticipated,
-            "measured": measured,
-            "gap": anticipated - measured,
-        }
+        (_rows[name],) = run_crosslayer_gap(samples=FI_SAMPLES, scale=SCALE,
+                                            workloads=(name,)).rows
     return _rows[name]
 
 

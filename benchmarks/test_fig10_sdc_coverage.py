@@ -4,30 +4,29 @@ One benchmark per workload (selectable with ``-k`` or REPRO_WORKLOADS);
 each runs four seeded campaigns (raw + three protected variants) of
 ``REPRO_FI_SAMPLES`` single-bit faults and asserts the paper's shape:
 FERRUM and HYBRID at 100 % SDC coverage, IR-LEVEL-EDDI below.
-A final summary test prints the figure as a table.
+A final summary test prints the figure as a table. Rows come from
+``run_fig10``, which ``ferrum-eval fig10`` also runs.
 """
 
 import pytest
 
-from conftest import FI_SAMPLES, SELECTED, build_for, emit
-from repro.evaluation.experiments import CoverageRow, Fig10Result, TECHNIQUES
+from conftest import FI_SAMPLES, SCALE, SELECTED, emit
+from repro.evaluation.experiments import (
+    CoverageRow,
+    Fig10Result,
+    TECHNIQUES,
+    run_fig10,
+)
 from repro.evaluation.figures import render_fig10_chart
 from repro.evaluation.report import render_fig10
-from repro.faultinjection.campaign import run_campaign
 
 _rows: dict[str, CoverageRow] = {}
 
 
 def _coverage_row(name: str) -> CoverageRow:
     if name not in _rows:
-        build = build_for(name)
-        raw = run_campaign(build["raw"].asm, FI_SAMPLES, seed=2024)
-        row = CoverageRow(name, raw)
-        for technique in TECHNIQUES:
-            row.campaigns[technique] = run_campaign(
-                build[technique].asm, FI_SAMPLES, seed=2024
-            )
-        _rows[name] = row
+        (_rows[name],) = run_fig10(samples=FI_SAMPLES, scale=SCALE,
+                                   workloads=(name,)).rows
     return _rows[name]
 
 

@@ -3,39 +3,33 @@
 Benchmarks the simulated execution of each variant (wall-clock of the
 simulator run, via pytest-benchmark) and reports the paper's metric — the
 cycle-model overhead relative to the unprotected binary — through
-``extra_info`` and a printed summary table.
+``extra_info`` and a printed summary table. Rows come from ``run_fig11``,
+which ``ferrum-eval fig11`` also runs.
 """
 
 import pytest
 
-from conftest import SELECTED, build_for, emit
-from repro.evaluation.experiments import Fig11Result, TECHNIQUES
-from repro.evaluation.metrics import runtime_overhead, speedup_in_overhead
+from conftest import SCALE, SELECTED, emit
+from repro.evaluation.experiments import Fig11Result, TECHNIQUES, run_fig11
+from repro.evaluation.metrics import speedup_in_overhead
 from repro.evaluation.figures import render_fig11_chart
 from repro.evaluation.report import render_fig11
-from repro.machine.cpu import Machine
-from repro.machine.timing import TimingConfig
 
-_cycles: dict[str, dict[str, int]] = {}
+_rows: dict[str, dict[str, object]] = {}
 
 
-def _measure(name: str) -> dict[str, int]:
-    if name not in _cycles:
-        build = build_for(name)
-        timing = TimingConfig()
-        _cycles[name] = {
-            variant_name: Machine(variant.asm).run(timing=timing).cycles
-            for variant_name, variant in build.variants.items()
-        }
-    return _cycles[name]
+def _overhead_row(name: str) -> dict[str, object]:
+    if name not in _rows:
+        (_rows[name],) = run_fig11(scale=SCALE, workloads=(name,),
+                                   repeats=1).rows
+    return _rows[name]
 
 
 @pytest.mark.parametrize("name", SELECTED)
 def test_fig11_benchmark(benchmark, name):
-    cycles = benchmark.pedantic(_measure, args=(name,), rounds=1, iterations=1)
-    overheads = {
-        t: runtime_overhead(cycles[t], cycles["raw"]) for t in TECHNIQUES
-    }
+    row = benchmark.pedantic(_overhead_row, args=(name,), rounds=1,
+                             iterations=1)
+    overheads = {t: float(row[t]) for t in TECHNIQUES}
     for technique, value in overheads.items():
         benchmark.extra_info[f"overhead_{technique}"] = round(value, 4)
 
@@ -47,13 +41,7 @@ def test_fig11_benchmark(benchmark, name):
 def test_fig11_summary(benchmark, capsys):
     def summarize() -> Fig11Result:
         result = Fig11Result()
-        for name in SELECTED:
-            cycles = _measure(name)
-            row = {"benchmark": name, "raw_cycles": cycles["raw"]}
-            for technique in TECHNIQUES:
-                row[technique] = runtime_overhead(cycles[technique],
-                                                  cycles["raw"])
-            result.rows.append(row)
+        result.rows = [_overhead_row(name) for name in SELECTED]
         return result
 
     result = benchmark.pedantic(summarize, rounds=1, iterations=1)

@@ -1,5 +1,6 @@
 """Full evaluation run: all figures/tables, saved to results/."""
 import json, time, sys
+from pathlib import Path
 
 from repro.evaluation import (
     run_fig10, run_fig11, run_transform_time, run_crosslayer_gap,
@@ -10,6 +11,7 @@ from repro.evaluation.report import render_fig10_outcomes
 from repro.faultinjection.outcome import Outcome
 
 SAMPLES = int(sys.argv[1]) if len(sys.argv) > 1 else 100
+RESULTS = Path(__file__).resolve().parent
 
 out = []
 t0 = time.time()
@@ -34,7 +36,7 @@ gap = run_crosslayer_gap(samples=SAMPLES)
 out.append(render_gap(gap)); out.append("")
 print(f"[{time.time()-t0:6.0f}s] gap done", flush=True)
 
-with open("/root/repo/results/full_eval.txt", "w") as f:
+with open(RESULTS / "full_eval.txt", "w") as f:
     f.write("\n".join(out))
 
 summary = {
@@ -51,6 +53,6 @@ summary = {
     "gap_rows": gap.rows,
     "transform_ms": [dict(r, seconds=float(r["seconds"])) for r in tt.rows],
 }
-with open("/root/repo/results/full_eval.json", "w") as f:
+with open(RESULTS / "full_eval.json", "w") as f:
     json.dump(summary, f, indent=2, default=str)
 print("ALL DONE", time.time()-t0, flush=True)

@@ -26,6 +26,12 @@ fi
 echo "== tier-1 tests (perf marker deselected) =="
 PYTHONPATH=src python -m pytest tests -q -m "not perf" || status=$?
 
+echo "== benchmarks collect (imports only) =="
+# Mirrors the CI tests job: a broken import under benchmarks/ fails here,
+# not only in the advisory perf smoke.
+PYTHONPATH=src python -m pytest benchmarks --collect-only -q >/dev/null \
+    || status=$?
+
 echo "== tier-1 tests (reference execution engine) =="
 # Mirrors the CI tests-reference-engine job: the machine's reference
 # handler loop must give the same suite results as the translated engine.

@@ -534,8 +534,6 @@ def run_ir_campaign(
     engine: str = "checkpoint",
     telemetry: bool = False,
     jsonl_path=None,
-    prune: bool = False,
-    converge: bool = False,
 ) -> CampaignResult:
     """Inject ``samples`` faults at IR level (LLFI-style).
 
@@ -543,32 +541,11 @@ def run_ir_campaign(
     ``jsonl_path`` controls as :func:`run_campaign`, with identical
     guarantees: both engines and any process count yield bit-identical
     outcome counts, records and JSONL bytes for a given seed, telemetry on
-    or off.
-
-    ``prune`` and ``converge`` are accepted for signature parity but only
-    ``False`` is supported: outcome-equivalence pruning is assembly-level
-    analysis (see ``docs/fault_model.md``), and convergence early-exit
-    compares machine-level state (register files, memory pages) that the
-    IR interpreter does not expose — both raise :class:`InjectionError`
-    instead of a bare ``TypeError``.
+    or off. Pruning and convergence early-exit are assembly-level only:
+    both read machine state (register files, flags, memory pages) that IR
+    values do not expose.
     """
     _validate(processes, engine)
-    if converge:
-        raise InjectionError(
-            "convergence early-exit is assembly-level only: the digest "
-            "trail hashes machine state (register files, RFLAGS, memory "
-            "pages) that IR values do not expose. Compile the module and "
-            "run run_campaign(converge=True) on the assembly program "
-            "instead."
-        )
-    if prune:
-        raise InjectionError(
-            "outcome-equivalence pruning is assembly-level only: the "
-            "equivalence scanner classifies flips by propagating XOR deltas "
-            "through the recorded machine trace (register, flag and memory "
-            "bytes), state IR values do not expose. Compile the module and "
-            "run run_campaign(prune=True) on the assembly program instead."
-        )
     telemetry = telemetry or jsonl_path is not None
     golden = IRInterpreter(module).run(function=function, args=args)
     result, plans = _draw(golden, samples, seed)

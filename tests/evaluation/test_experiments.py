@@ -11,6 +11,10 @@ from repro.evaluation.experiments import (
     table1,
     table2,
 )
+from repro.evaluation.metrics import sdc_coverage
+from repro.faultinjection.campaign import run_campaign, run_ir_campaign
+from repro.pipeline import build_variants
+from repro.workloads import get_workload
 
 
 class TestTables:
@@ -83,6 +87,16 @@ class TestFig10Small:
         (row,) = result.rows
         assert row.raw.sdc_probability > 0
 
+    def test_rows_equal_direct_campaigns(self, result):
+        """``run_fig10`` is Fig. 10's one definition: each count is the
+        seeded campaign on that variant, as the benchmarks assume."""
+        (row,) = result.rows
+        build = build_variants(get_workload("knn").source(1))
+        campaigns = {"raw": row.raw, **row.campaigns}
+        for variant, campaign in campaigns.items():
+            direct = run_campaign(build[variant].asm, 30, seed=11)
+            assert campaign.outcomes.counts == direct.outcomes.counts, variant
+
 
 class TestComposeSmall:
     def test_compose_matches_flat_and_caches(self, tmp_path):
@@ -119,3 +133,39 @@ class TestGapSmall:
         assert float(row["gap"]) == pytest.approx(
             float(row["anticipated"]) - float(row["measured"])
         )
+
+    def test_campaigns_equal_direct_campaigns(self, monkeypatch):
+        """``run_crosslayer_gap`` is the gap's one definition: its four
+        campaigns are the seeded IR- and assembly-level campaigns on each
+        variant, as the benchmarks assume. The campaigns are recorded
+        because the row keeps only coverages, which are 1.0 at this
+        size."""
+        from repro.evaluation import experiments
+
+        ran = []
+
+        def recording(run):
+            def wrapper(*args, **kwargs):
+                ran.append(run(*args, **kwargs))
+                return ran[-1]
+            return wrapper
+
+        monkeypatch.setattr(experiments, "run_campaign",
+                            recording(run_campaign))
+        monkeypatch.setattr(experiments, "run_ir_campaign",
+                            recording(run_ir_campaign))
+        result = run_crosslayer_gap(samples=25, seed=8, workloads=("knn",))
+        (row,) = result.rows
+        build = build_variants(get_workload("knn").source(1),
+                               names=("raw", "ir-eddi"))
+        direct = ([run_ir_campaign(build[v].ir, 25, seed=8)
+                   for v in ("raw", "ir-eddi")]
+                  + [run_campaign(build[v].asm, 25, seed=8)
+                     for v in ("raw", "ir-eddi")])
+        assert ([c.outcomes.counts for c in ran]
+                == [c.outcomes.counts for c in direct])
+        raw_ir, prot_ir, raw_asm, prot_asm = ran
+        assert row["anticipated"] == sdc_coverage(raw_ir.sdc_probability,
+                                                  prot_ir.sdc_probability)
+        assert row["measured"] == sdc_coverage(raw_asm.sdc_probability,
+                                               prot_asm.sdc_probability)

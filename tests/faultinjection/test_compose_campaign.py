@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.errors import InjectionError
-from repro.faultinjection.campaign import run_campaign, run_ir_campaign
+from repro.faultinjection.campaign import run_campaign
 from repro.faultinjection.compose import (
     SectionCache,
     _ProgramIndex,
@@ -24,7 +24,6 @@ from repro.faultinjection.compose import (
     trace_sections,
 )
 from repro.machine.cpu import Machine
-from repro.minic import compile_to_ir
 from repro.pipeline import build_variants
 from repro.workloads import get_workload
 from tests.faultinjection.parity import (
@@ -268,7 +267,7 @@ class TestSectionCache:
 
 
 class TestCampaignParityFixes:
-    """JSONL truncation and IR prune parity."""
+    """JSONL truncation."""
 
     def test_jsonl_default_mode_truncates(self, built, tmp_path):
         path = tmp_path / "campaign.jsonl"
@@ -277,9 +276,3 @@ class TestCampaignParityFixes:
         run_campaign(built["knn"], samples=5, seed=2, jsonl_path=path)
         run_campaign(built["knn"], samples=5, seed=2, jsonl_path=solo)
         assert path.read_bytes() == solo.read_bytes()
-
-    def test_ir_prune_raises_descriptive_error(self):
-        module = compile_to_ir(get_workload("pathfinder").source(1))
-        with pytest.raises(InjectionError,
-                           match="assembly-level only"):
-            run_ir_campaign(module, samples=2, seed=1, prune=True)

@@ -12,10 +12,8 @@ import json
 
 import pytest
 
-from repro.errors import InjectionError
-from repro.faultinjection.campaign import run_campaign, run_ir_campaign
+from repro.faultinjection.campaign import run_campaign
 from repro.faultinjection.compose import compose_campaign
-from repro.minic import compile_to_ir
 from repro.pipeline import build_variants
 from repro.workloads import get_workload
 from tests.faultinjection.parity import (
@@ -237,8 +235,3 @@ class TestStatsAndErrors:
                 a.distance_sites, a.boundaries_compared) == (5, 3, 150, 16, 7)
         assert a.converged_fraction == 3 / 5
         assert a.mean_convergence_distance == 16 / 3
-
-    def test_ir_campaign_rejects_converge(self):
-        ir = compile_to_ir(get_workload("bfs").source(1))
-        with pytest.raises(InjectionError, match="assembly-level only"):
-            run_ir_campaign(ir, samples=2, converge=True)
