@@ -218,8 +218,7 @@ def test_masked_fault_convergence_microbench():
 
     program = build_for("bfs")["ferrum"].asm
     machine = Machine(program)
-    golden = machine.run()
-    trail = record_trail(program, golden, machine=machine)
+    golden, trail = record_trail(machine)
     early_cutoff = golden.fault_sites // EARLY_SITE_FRACTION
 
     rng = DeterministicRng(SEED)

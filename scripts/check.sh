@@ -49,14 +49,26 @@ echo "== benchmark tests =="
 # and input draws (the tests put src/ on the path themselves).
 python3 -m pytest perfbench/tests -q || status=$?
 
+echo "== traced benchmark passes (every required span fires) =="
+# Mirrors the CI perfbench job: a campaign refactor that stops calling a
+# probed function (golden run, trail pass, section trace) fails here.
+for workload in observe coverage; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --trace 1 >/dev/null || status=$?
+done
+
 echo "== dme campaign smoke (durable service CLI) =="
 # Mirrors the CI tests-dme job: an end-to-end --techniques dme campaign
 # through the durable service, which no other stage runs.
-rm -rf dme-smoke
-PYTHONPATH=src python -m repro.evaluation.cli serve \
-    --state-dir dme-smoke --workloads kmeans --techniques dme \
-    --samples 24 --shard-size 8 --workers 2 --no-fsync >/dev/null \
-    || status=$?
+# The second serve runs the converged golden trail pass (and its DME
+# fault-free gate) through the service set-up.
+for converge in "" --converge; do
+    rm -rf dme-smoke
+    PYTHONPATH=src python -m repro.evaluation.cli serve \
+        --state-dir dme-smoke --workloads kmeans --techniques dme \
+        --samples 24 --shard-size 8 --workers 2 --no-fsync $converge \
+        >/dev/null || status=$?
+done
 rm -rf dme-smoke
 
 echo "== fuzz smoke (fixed seeds, bounded) =="

@@ -42,11 +42,7 @@ from typing import TYPE_CHECKING
 
 from repro.asm.program import AsmProgram
 from repro.errors import InjectionError
-from repro.faultinjection.equivalence import (
-    PruningAnalysis,
-    PruningStats,
-    analyze_plans,
-)
+from repro.faultinjection.equivalence import PruningStats, analyze_plans
 from repro.faultinjection.injector import (
     FaultPlan,
     inject_asm_fault,
@@ -153,37 +149,35 @@ def _finish(
 # -- the executor ----------------------------------------------------------
 
 
+@dataclass
 class _ShardContext:
     """What every shard of one campaign shares: the target adapter.
 
-    Holds the program (assembly) or module (IR), its golden run, the entry
-    point, the telemetry flag, the convergence trail and the prune
-    verdicts, plus one runner — a :class:`Machine` or
-    :class:`IRInterpreter` built once and reused by every cursor advance,
-    restore and injection. ``replay`` marks the sequential reference
-    oracle, which never advances a cursor. Pool workers inherit the
-    parent's context through ``fork``.
+    Built by :func:`_setup`: the program (assembly) or module (IR), the
+    campaign's one runner — the :class:`Machine` or :class:`IRInterpreter`
+    its golden pass ran on, reused by every cursor advance, restore and
+    injection — the golden run, the entry point, the telemetry flag, the
+    convergence trail and the prune verdicts. ``replay`` marks the
+    sequential reference oracle, which never advances a cursor. Pool
+    workers inherit the parent's context through ``fork``.
     """
 
-    def __init__(self, target, golden, function, args, telemetry,
-                 trail: ConvergenceTrail | None = None,
-                 analysis: PruningAnalysis | None = None,
-                 replay: bool = False) -> None:
-        self.target = target
-        self.ir = isinstance(target, IRModule)
-        self.runner = IRInterpreter(target) if self.ir else Machine(target)
-        self.golden = golden
-        self.function = function
-        self.args = args
-        self.telemetry = telemetry
-        self.trail = trail
-        self.replay = replay
-        analysis = analysis or PruningAnalysis()
-        #: run index -> result the prune pass synthesized without execution
-        self.synthesized = dict(analysis.synthesized)
-        #: duplicate run index -> its representative's run index
-        self.clone_of = {dup: rep for rep, dups in analysis.duplicates.items()
-                         for dup in dups}
+    target: AsmProgram | IRModule
+    runner: Machine | IRInterpreter
+    golden: object
+    function: str
+    args: tuple[int, ...]
+    telemetry: bool
+    trail: ConvergenceTrail | None
+    replay: bool
+    #: run index -> result the prune pass synthesized without execution
+    synthesized: dict
+    #: duplicate run index -> its representative's run index
+    clone_of: dict[int, int]
+
+    @property
+    def ir(self) -> bool:
+        return isinstance(self.target, IRModule)
 
     def executes(self, run_index: int) -> bool:
         """Whether the plan drawn as ``run_index`` is actually injected."""
@@ -399,39 +393,52 @@ def _validate(processes: int, engine: str = "checkpoint") -> None:
         )
 
 
-def _draw(golden, samples: int, seed: int):
-    """The campaign result shell and its sampled plans, by run index."""
+def _setup(target, samples: int, seed: int, function: str = "main",
+           args: tuple[int, ...] = (), telemetry: bool = False, *,
+           prune: bool = False, converge: bool = False, replay: bool = False,
+           fault_hook=None):
+    """The one campaign set-up: one runner, one golden pass, the plan draw.
+
+    Builds the runner (a :class:`Machine`, or an :class:`IRInterpreter`
+    for IR) and runs the single fault-free pass on it — :func:`record_trail`
+    under ``converge`` — which ``fault_hook`` may observe. Returns ``(ctx,
+    result, plans)``: the shard context holding that runner, the result
+    shell, and the sampled plans by run index (with prune verdicts).
+    """
+    trail: ConvergenceTrail | None = None
+    if isinstance(target, IRModule):
+        runner = IRInterpreter(target)
+        golden = runner.run(function=function, args=args)
+    else:
+        runner = Machine(target)
+        if converge:
+            golden, trail = record_trail(runner, function, args,
+                                         fault_hook=fault_hook)
+        else:
+            golden = runner.run(function=function, args=args,
+                                fault_hook=fault_hook)
     result = CampaignResult(
         samples=samples,
         fault_sites=golden.fault_sites,
         dynamic_instructions=golden.dynamic_instructions,
+        convergence_stats=ConvergenceStats() if converge else None,
     )
     rng = DeterministicRng(seed)
     plans: list[IndexedPlan] = [
         (run_index, FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
         for run_index in range(samples)
     ]
-    return result, plans
-
-
-def _draw_asm(program, golden, samples, seed, function, args, telemetry,
-              prune, converge):
-    """:func:`_draw` for assembly, plus the optional prune pass and trail.
-
-    Returns ``(result, plans, analysis, trail)``; under ``prune`` the
-    ``analysis`` holds the verdicts that spare plans their execution.
-    """
-    result, plans = _draw(golden, samples, seed)
-    analysis = None
+    synthesized, clone_of = {}, {}
     if prune:
-        analysis = analyze_plans(program, plans, function=function, args=args,
+        analysis = analyze_plans(target, plans, function=function, args=args,
                                  telemetry=telemetry)
         result.pruning_stats = analysis.stats
-    trail: ConvergenceTrail | None = None
-    if converge:
-        trail = record_trail(program, golden, function=function, args=args)
-        result.convergence_stats = ConvergenceStats()
-    return result, plans, analysis, trail
+        synthesized = dict(analysis.synthesized)
+        clone_of = {dup: rep for rep, dups in analysis.duplicates.items()
+                    for dup in dups}
+    ctx = _ShardContext(target, runner, golden, function, args, telemetry,
+                        trail, replay, synthesized, clone_of)
+    return ctx, result, plans
 
 
 def _run(
@@ -473,7 +480,9 @@ def run_campaign(
 
     One golden (fault-free) execution establishes the reference output and
     the dynamic fault-site population; each sample then flips one bit at a
-    uniformly chosen site/register/bit and classifies the outcome.
+    uniformly chosen site/register/bit and classifies the outcome. The
+    golden run, every cursor advance and every injection share one
+    :class:`Machine`, translated once.
 
     ``engine`` selects the execution strategy (see the module docstring);
     both produce bit-identical results for the same seed.
@@ -501,8 +510,8 @@ def run_campaign(
     bytes stay bit-identical to the unpruned campaign;
     ``result.pruning_stats`` reports how much work was avoided.
 
-    ``converge=True`` layers *dynamic* pruning on top: one extra fault-free
-    pass records a golden digest trail (:mod:`repro.machine.converge`), and
+    ``converge=True`` layers *dynamic* pruning on top: the golden run
+    records a digest trail as it goes (:mod:`repro.machine.converge`), and
     every injected run stops the moment its divergence cone — registers
     plus pages written since the flip — matches the trail at a boundary,
     finishing with the golden outcome. Counts, records, per-origin maps
@@ -515,12 +524,9 @@ def run_campaign(
     """
     _validate(processes, engine)
     telemetry = telemetry or jsonl_path is not None
-    golden = Machine(program).run(function=function, args=args)
-    result, plans, analysis, trail = _draw_asm(
-        program, golden, samples, seed, function, args, telemetry, prune,
-        converge)
-    ctx = _ShardContext(program, golden, function, args, telemetry, trail,
-                        analysis, replay=engine == "replay")
+    ctx, result, plans = _setup(program, samples, seed, function, args,
+                                telemetry, prune=prune, converge=converge,
+                                replay=engine == "replay")
     return _run(ctx, result, plans, processes, jsonl_path)
 
 
@@ -547,8 +553,6 @@ def run_ir_campaign(
     """
     _validate(processes, engine)
     telemetry = telemetry or jsonl_path is not None
-    golden = IRInterpreter(module).run(function=function, args=args)
-    result, plans = _draw(golden, samples, seed)
-    ctx = _ShardContext(module, golden, function, args, telemetry,
-                        replay=engine == "replay")
+    ctx, result, plans = _setup(module, samples, seed, function, args,
+                                telemetry, replay=engine == "replay")
     return _run(ctx, result, plans, processes, jsonl_path)

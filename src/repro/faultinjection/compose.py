@@ -56,10 +56,9 @@ from repro.faultinjection.campaign import (
     CampaignResult,
     IndexedPlan,
     _checkpoint_schedule,
-    _draw_asm,
     _execute,
     _finish,
-    _ShardContext,
+    _setup,
     _validate,
 )
 from repro.faultinjection.outcome import Outcome
@@ -255,8 +254,9 @@ def trace_sections(
     of maximal contiguous same-region site runs. The golden ``RunResult``
     is bit-identical to a hook-free run (the profiling hook only observes).
     """
-    golden, sections, _ = _trace_sections(program, function, args, index)
-    return golden, sections
+    (ctx, _, _), sections, _ = _trace_sections(program, function, args,
+                                               index)
+    return ctx.golden, sections
 
 
 def _trace_sections(
@@ -264,13 +264,19 @@ def _trace_sections(
     function: str,
     args: tuple[int, ...],
     index: _ProgramIndex | None = None,
+    samples: int = 0,
+    seed: int = 0,
+    **setup,
 ):
-    """:func:`trace_sections` plus the per-site instruction-uid trace.
+    """The campaign ``_setup`` (``samples``, ``seed``, ``setup``) with the
+    section trace riding its golden pass as an observer hook.
 
-    ``site_uids[site]`` identifies the static instruction that is dynamic
-    fault site ``site`` — used to restamp cached telemetry records with the
-    *current* program's uids (uids are process-local object identity, so
-    they are stripped from cache entries).
+    Returns the set-up's ``(ctx, result, plans)``, the sections, and the
+    per-site instruction-uid trace: ``site_uids[site]`` identifies the
+    static instruction that is dynamic fault site ``site`` — used to
+    restamp cached telemetry records with the *current* program's uids
+    (uids are process-local object identity, so they are stripped from
+    cache entries).
     """
     if index is None:
         index = _ProgramIndex(program)
@@ -282,8 +288,8 @@ def _trace_sections(
         site_regions.append(regions_by_uid[instr.uid])
         site_uids.append(instr.uid)
 
-    golden = Machine(program).run(function=function, args=args,
-                                  fault_hook=hook)
+    campaign = _setup(program, samples, seed, function, args,
+                      fault_hook=hook, **setup)
     sections: list[Section] = []
     start = 0
     for pos in range(1, len(site_regions) + 1):
@@ -295,7 +301,7 @@ def _trace_sections(
                 start_site=start, end_site=pos,
             ))
             start = pos
-    return golden, sections, site_uids
+    return campaign, sections, site_uids
 
 
 # -- keys and entries ------------------------------------------------------
@@ -501,13 +507,13 @@ def compose_campaign(
     snapshot and no cache entry; it is served from the prune verdicts.
 
     ``converge=True`` adds convergence early-exit (see
-    :func:`~repro.faultinjection.campaign.run_campaign`): one golden
-    digest trail is recorded up front, its fingerprint becomes part of
-    every section's cache key, and executed sections finish each run at
-    the first boundary whose divergence cone matches the trail. Composed
-    counts and records stay bit-identical; ``result.convergence_stats``
-    covers *executed* injections only (cache hits never run, so they have
-    no monitor counters).
+    :func:`~repro.faultinjection.campaign.run_campaign`): the golden pass
+    that traces the sections also records the digest trail, its
+    fingerprint becomes part of every section's cache key, and executed
+    sections finish each run at the first boundary whose divergence cone
+    matches the trail. Composed counts and records stay bit-identical;
+    ``result.convergence_stats`` covers *executed* injections only (cache
+    hits never run, so they have no monitor counters).
     """
     _validate(processes)
     telemetry = telemetry or jsonl_path is not None
@@ -518,20 +524,16 @@ def compose_campaign(
                 f"program has {program.function_names()}"
             )
     index = _ProgramIndex(program)
-    golden, sections, site_uids = _trace_sections(program, function, args,
-                                                  index)
-    result, plans, analysis, trail = _draw_asm(
-        program, golden, samples, seed, function, args, telemetry, prune,
-        converge)
-    trail_fp = trail.fingerprint() if trail is not None else None
+    (ctx, result, plans), sections, site_uids = _trace_sections(
+        program, function, args, index, samples, seed, telemetry=telemetry,
+        prune=prune, converge=converge)
+    trail_fp = ctx.trail.fingerprint() if ctx.trail is not None else None
     stats = CheckpointStats() if telemetry else None
     result.checkpoint_stats = stats
     compose_stats = ComposeStats(sections=len(sections))
     result.compose_stats = compose_stats
     cache = SectionCache(cache_dir) if cache_dir is not None else None
     refresh_set = set(refresh)
-    ctx = _ShardContext(program, golden, function, args, telemetry, trail,
-                        analysis)
 
     routed = _route_plans(sections, plans)
     populated = [
@@ -557,8 +559,8 @@ def compose_campaign(
         if stats is not None:
             stats.note_snapshot(cursor)
         key = _section_key(index, section, _snapshot_fingerprint(cursor),
-                           golden, section_plans, function, args, telemetry,
-                           trail_fingerprint=trail_fp)
+                           ctx.golden, section_plans, function, args,
+                           telemetry, trail_fingerprint=trail_fp)
         refreshed = section.function in refresh_set
         if refreshed:
             compose_stats.refreshed_sections += 1

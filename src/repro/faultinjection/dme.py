@@ -156,9 +156,9 @@ class DmeMachine(Machine):
     * a run that completes with output or exit code differing from the
       reference detects at exit (latency = remaining dynamic
       instructions), closing the silent-data-corruption window;
-    * hook-free runs execute the primary and then validate the lockstep
-      gate — a fault-free divergence raises :class:`DmeDivergenceError`,
-      which is a loud failure, not a detection.
+    * hook-free runs and digest-trail passes execute the primary and then
+      validate the lockstep gate — a fault-free divergence raises
+      :class:`DmeDivergenceError`, which is a loud failure, not a detection.
     """
 
     def __init__(
@@ -198,6 +198,18 @@ class DmeMachine(Machine):
             self.program.trace_cache[key] = trace
         return trace
 
+    def _verify_fault_free(self, result: RunResult, function: str,
+                           args: tuple[int, ...]) -> None:
+        """The lockstep gate: a fault-free run must match the pair."""
+        trace = self.reference_trace(function, args)
+        if (result.output != trace.output
+                or result.exit_code != trace.exit_code):
+            raise DmeDivergenceError(
+                f"dme: {function}{tuple(args)}: fault-free run disagrees "
+                f"with the reference pair (exit {result.exit_code} vs "
+                f"{trace.exit_code})"
+            )
+
     def _secondary_cycles(
         self,
         key: tuple[str, tuple[int, ...]],
@@ -235,14 +247,7 @@ class DmeMachine(Machine):
             result = super().run(function=function, args=args, timing=timing,
                                  max_instructions=max_instructions,
                                  resume_from=resume_from)
-            trace = self.reference_trace(*key)
-            if (result.output != trace.output
-                    or result.exit_code != trace.exit_code):
-                raise DmeDivergenceError(
-                    f"dme: {key[0]}{key[1]}: fault-free run disagrees with "
-                    f"the reference pair (exit {result.exit_code} vs "
-                    f"{trace.exit_code})"
-                )
+            self._verify_fault_free(result, *key)
             if timing is not None and result.cycles is not None:
                 # Honest lockstep cost: both variants execute, so a timed
                 # run is charged the sum of the pair's cycles.

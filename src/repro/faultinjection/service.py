@@ -68,9 +68,9 @@ from repro.errors import ServiceError
 from repro.faultinjection.campaign import (
     IndexedPlan,
     _checkpoint_schedule,
-    _draw,
     _fork_context,
     _serve,
+    _setup,
     _ShardContext,
 )
 from repro.faultinjection.outcome import Outcome
@@ -80,8 +80,6 @@ from repro.faultinjection.telemetry import (
     TelemetryAggregate,
     read_jsonl,
 )
-from repro.machine.converge import record_trail
-from repro.machine.cpu import Machine, RunResult
 from repro.pipeline import VARIANTS, build_variants
 from repro.utils.journal import Journal, durable_replace
 from repro.utils.locking import FileLock
@@ -124,9 +122,9 @@ class CampaignSpec:
     scale: int = 1
     shard_size: int = 200
     #: Convergence early-exit (see :mod:`repro.machine.converge`): each
-    #: unit records one golden digest trail at compile time; every shard
-    #: worker inherits it through fork and stops masked runs at the first
-    #: matching boundary. Result bytes are unchanged by contract, but the
+    #: unit's golden run records its digest trail at compile time; every
+    #: shard worker inherits it through fork and stops masked runs at the
+    #: first matching boundary. Result bytes are unchanged by contract, but the
     #: flag is still part of the spec identity — resuming with a spec
     #: that flips it is rejected like any other spec mismatch.
     converge: bool = False
@@ -213,14 +211,12 @@ class CompiledUnit:
     index: int
     workload: str
     technique: str
-    program: object          # AsmProgram (kept loose to avoid import cycles)
-    golden: RunResult
+    #: program, golden run, trail and the one machine, set up once here
+    #: and inherited by every forked shard worker
+    ctx: _ShardContext
     shards: list[tuple[ShardDescriptor, list[IndexedPlan]]]
     #: static-instruction uid -> program-local ordinal (see execute_shard)
     uid_map: dict[int, int]
-    #: golden convergence trail (``spec.converge`` campaigns only); recorded
-    #: once here, inherited by every forked shard worker
-    trail: object | None = None
 
     @property
     def unit_id(self) -> str:
@@ -252,10 +248,10 @@ def _partition_plans(
 def compile_campaign(spec: CampaignSpec) -> list[CompiledUnit]:
     """Compile a spec into executable units with deterministic shards.
 
-    Builds each unit's protected program, runs its golden execution, draws
-    the full plan population (identical to a flat ``run_campaign`` with
-    the same seed — shard boundaries never influence plan contents) and
-    partitions it into site-range shards.
+    Builds each unit's protected program and runs the campaign set-up a
+    flat ``run_campaign`` runs — one machine, one golden pass, the full
+    plan population (shard boundaries never influence plan contents) —
+    then partitions the plans into site-range shards.
     """
     spec.validate()
     units: list[CompiledUnit] = []
@@ -265,18 +261,15 @@ def compile_campaign(spec: CampaignSpec) -> list[CompiledUnit]:
             names = ("raw",) if technique == "raw" else ("raw", technique)
             build = build_variants(source, names=names)
             program = build[technique].asm
-            golden = Machine(program).run()
-            _, plans = _draw(golden, spec.samples, spec.seed)
+            ctx, _, plans = _setup(program, spec.samples, spec.seed,
+                                   telemetry=True, converge=spec.converge)
             index = len(units)
             uid_map = {instr.uid: ordinal for ordinal, instr
                        in enumerate(program.instructions())}
-            trail = (record_trail(program, golden)
-                     if spec.converge else None)
             units.append(CompiledUnit(
-                index=index, workload=workload, technique=technique,
-                program=program, golden=golden,
+                index=index, workload=workload, technique=technique, ctx=ctx,
                 shards=_partition_plans(index, plans, spec.shard_size),
-                uid_map=uid_map, trail=trail,
+                uid_map=uid_map,
             ))
     return units
 
@@ -298,9 +291,7 @@ def execute_shard(
     boundary with bit-identical records, so segments, merges and the
     summary stay byte-stable with the flag on or off.
     """
-    ctx = _ShardContext(unit.program, unit.golden, "main", (),
-                        telemetry=True, trail=unit.trail)
-    results, _, _ = _serve(ctx, None, plans)
+    results, _, _ = _serve(unit.ctx, None, plans)
     return [
         (run, replace(record,
                       instruction_uid=unit.uid_map.get(record.instruction_uid)
@@ -857,8 +848,8 @@ class CampaignService:
             unit_summaries[unit.unit_id] = {
                 "workload": unit.workload,
                 "technique": unit.technique,
-                "fault_sites": unit.golden.fault_sites,
-                "dynamic_instructions": unit.golden.dynamic_instructions,
+                "fault_sites": unit.ctx.golden.fault_sites,
+                "dynamic_instructions": unit.ctx.golden.dynamic_instructions,
                 "shards": len(unit.shards),
                 "records": aggregate.records,
                 "sdc_probability": (sdc / aggregate.records

@@ -8,9 +8,9 @@ re-join point to collapse injection cost; MEEK bounds checker cost by only
 inspecting state the error cone can reach. This module brings that dynamic
 pruning to the campaign engines:
 
-* :func:`record_trail` executes one fault-free pass per (program, input)
-  unit — on whichever execution engine the machine uses, they are
-  bit-identical — and records a :class:`ConvergenceTrail`: at every
+* :func:`record_trail` is the golden run of a (program, input) unit — on
+  whichever execution engine the machine uses, they are bit-identical —
+  and records a :class:`ConvergenceTrail` as it goes: at every
   ``interval`` fault sites, a :class:`TrailEntry` with the pc/site/executed
   ordinals, a register-file snapshot, the output, allocator and PRNG
   cursors, cumulative per-page digests, and the set of pages written during
@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.machine.cpu import Machine, RunResult
 from repro.machine.memory import PAGE_SIZE
@@ -61,21 +61,15 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 #: remaining boundary.
 GIVE_UP_AFTER = 8
 
+#: A trail's first boundary spacing in fault sites, and the entry count at
+#: which it folds to half and doubles the spacing (see :func:`record_trail`).
+FIRST_INTERVAL = 16
+TRAIL_CAP = 1024
+
 
 def _page_digest(view) -> bytes:
     """16-byte BLAKE2b digest of one page (or page view)."""
     return hashlib.blake2b(view, digest_size=16).digest()
-
-
-def trail_interval(fault_sites: int) -> int:
-    """Default boundary spacing (in fault sites) for a digest trail.
-
-    Dense enough that a masked run converges within a short suffix of the
-    flip (the floor of 16 sites), sparse enough that trail recording and
-    boundary stops stay a small fraction of campaign cost on long runs
-    (the ``// 512`` term caps the boundary count at ~512).
-    """
-    return max(16, fault_sites // 512)
 
 
 @dataclass(frozen=True)
@@ -106,10 +100,8 @@ class ConvergenceTrail:
 
     interval: int
     entries: tuple[TrailEntry, ...]
-    total_executed: int
-    total_sites: int
-    output: tuple[str, ...]
-    exit_code: int
+    #: the fault-free run the trail was recorded on
+    golden: RunResult
 
     def monitor(self, flip_site: int) -> "ConvergenceMonitor | None":
         """Monitor for a run flipping at ``flip_site``; None if no boundary
@@ -132,10 +124,10 @@ class ConvergenceTrail:
         payload = {
             "version": 1,
             "interval": self.interval,
-            "total_executed": self.total_executed,
-            "total_sites": self.total_sites,
-            "exit_code": self.exit_code,
-            "output": list(self.output),
+            "total_executed": self.golden.dynamic_instructions,
+            "total_sites": self.golden.fault_sites,
+            "exit_code": self.golden.exit_code,
+            "output": list(self.golden.output),
             "entries": [
                 {
                     "site": entry.site,
@@ -162,31 +154,28 @@ class ConvergenceTrail:
 
 
 def record_trail(
-    program,
-    golden: RunResult,
+    machine: Machine,
     function: str = "main",
     args: tuple[int, ...] = (),
-    interval: int | None = None,
-    machine: Machine | None = None,
-) -> ConvergenceTrail:
-    """Run ``program`` fault-free once and record its digest trail.
+    fault_hook=None,
+) -> tuple[RunResult, ConvergenceTrail]:
+    """The golden run of ``function(*args)`` on ``machine``, plus its trail.
 
-    ``golden`` must be the program's fault-free :class:`RunResult` (it
-    fixes the boundary schedule and the trail's totals). Page digests are
-    computed incrementally: a write watch is cleared at each boundary, so
-    per boundary only the pages written during that interval are hashed,
-    and cumulative digest maps share unchanged entries structurally.
+    ``fault_hook`` observes every site as in :meth:`Machine.run`.
+    Boundaries start every :data:`FIRST_INTERVAL` sites; at
+    :data:`TRAIL_CAP` entries the trail folds to half and the interval
+    doubles, so no site count is needed up front and a folded trail keeps
+    512–1023 boundaries: dense enough that a masked run converges soon
+    after its flip, sparse enough that boundary stops stay cheap. Page
+    digests are incremental: a write watch is cleared at each boundary, so
+    only the pages written during that interval are hashed, and cumulative
+    digest maps share unchanged entries structurally.
     """
-    if interval is None:
-        interval = trail_interval(golden.fault_sites)
-    if interval <= 0:
-        raise ValueError(f"trail interval must be positive, got {interval}")
-    if machine is None:
-        machine = Machine(program)
     pc = machine._prepare(function, args)
     executed = 0
     sites = 0
     budget = machine.max_instructions
+    interval = FIRST_INTERVAL
     segments = len(machine.memory.watched_writes())
     entries: list[TrailEntry] = []
     cumulative: list[dict[int, bytes]] = [{} for _ in range(segments)]
@@ -196,16 +185,13 @@ def record_trail(
     saved = machine.memory.begin_write_watch()
     accumulated = [set(pages) for pages in saved]
     try:
-        for target in range(interval, golden.fault_sites, interval):
+        while True:
             pc, executed, sites, stopped = machine._engine_leg(
-                pc, executed, sites, budget,
-                fault_hook=None, fault_at=-1, stop_at_site=target,
+                pc, executed, sites, budget, fault_hook=fault_hook,
+                fault_at=-1, stop_at_site=(len(entries) + 1) * interval,
             )
-            if not stopped:  # pragma: no cover - golden fixes the schedule
-                raise ValueError(
-                    f"golden run ended at site {sites} before trail "
-                    f"boundary {target}"
-                )
+            if not stopped:
+                break
             written = machine.memory.watched_writes()
             changed: list[frozenset[int]] = []
             digests: list[dict[int, bytes]] = []
@@ -232,30 +218,33 @@ def record_trail(
                 digests=tuple(digests),
                 changed=tuple(changed),
             ))
-        pc, executed, sites, _ = machine._engine_leg(
-            pc, executed, sites, budget,
-            fault_hook=None, fault_at=-1, stop_at_site=None,
-        )
+            if len(entries) == TRAIL_CAP:
+                entries = _fold(entries)
+                interval *= 2
     finally:
         for seg, pages in enumerate(machine.memory.watched_writes()):
             accumulated[seg] |= pages
         machine.memory.end_write_watch(tuple(accumulated))
-    if (executed != golden.dynamic_instructions
-            or sites != golden.fault_sites
-            or tuple(machine.output) != golden.output
-            or machine._exit_code != golden.exit_code):
-        raise ValueError(
-            "trail pass diverged from the golden result — "
-            "program or inputs are not deterministic"
-        )
-    return ConvergenceTrail(
-        interval=interval,
-        entries=tuple(entries),
-        total_executed=executed,
-        total_sites=sites,
-        output=tuple(machine.output),
+    if entries and entries[-1].site == sites:
+        entries.pop()  # only non-site instructions follow it
+    golden = RunResult(
         exit_code=machine._exit_code,
+        output=tuple(machine.output),
+        dynamic_instructions=executed,
+        fault_sites=sites,
     )
+    machine._verify_fault_free(golden, function, args)
+    return golden, ConvergenceTrail(interval, tuple(entries), golden)
+
+
+def _fold(entries: list[TrailEntry]) -> list[TrailEntry]:
+    """Keep every second entry, each absorbing its predecessor's
+    ``changed`` sets; digests are cumulative, so nothing else is lost."""
+    return [
+        replace(kept, changed=tuple(
+            early | late for early, late in zip(dropped.changed, kept.changed)))
+        for dropped, kept in zip(entries[0::2], entries[1::2])
+    ]
 
 
 class ConvergenceMonitor:
@@ -342,7 +331,8 @@ class ConvergenceMonitor:
                 or machine.lcg_state != entry.lcg_state
                 or tuple(machine.output) != entry.output):
             return self._miss()
-        remaining = self.trail.total_executed - entry.executed
+        golden = self.trail.golden
+        remaining = golden.dynamic_instructions - entry.executed
         if executed + remaining > budget:
             # The real run would exhaust its budget in the (bit-identical)
             # suffix; keep executing so the hang classifies naturally.
@@ -364,13 +354,8 @@ class ConvergenceMonitor:
         self.converged = True
         self.instructions_saved = remaining
         self.convergence_distance = entry.site - self.flip_site
-        return RunResult(
-            exit_code=self.trail.exit_code,
-            output=self.trail.output,
-            dynamic_instructions=executed + remaining,
-            fault_sites=sites + (self.trail.total_sites - entry.site),
-            cycles=None,
-        )
+        return replace(golden, dynamic_instructions=executed + remaining,
+                       fault_sites=sites + (golden.fault_sites - entry.site))
 
     def _miss(self) -> None:
         self._failed += 1

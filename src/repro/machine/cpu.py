@@ -397,6 +397,10 @@ class Machine:
             cycles=timer.cycles if timer is not None else None,
         )
 
+    def _verify_fault_free(self, result: RunResult, function: str,
+                           args: tuple[int, ...]) -> None:
+        """Check a finished fault-free run; runtime detectors override it."""
+
     def _engine_leg(
         self,
         pc: int,

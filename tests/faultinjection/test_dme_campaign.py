@@ -15,8 +15,10 @@ import json
 
 import pytest
 
+from repro.asm.operands import Imm
 from repro.backend.isel import LoweringKnobs, compile_module
 from repro.core.ferrum import protect_program
+from repro.errors import DmeDivergenceError
 from repro.faultinjection import compose_campaign, run_campaign
 from repro.faultinjection.outcome import Outcome
 from repro.faultinjection.service import (
@@ -145,6 +147,33 @@ class TestComposeParity:
         raw_flat = run_campaign(build["raw"].asm, samples=15, seed=3,
                                 telemetry=True)
         assert_campaigns_identical(raw_composed, raw_flat)
+
+
+class TestFaultFreeGate:
+    """A secondary that diverges fault-free fails the campaign loudly,
+    before any record exists, whichever pass is the golden run."""
+
+    @staticmethod
+    def _diverging(program):
+        sabotaged = program.copy()
+        for instr in sabotaged.secondary.instructions():
+            if (instr.mnemonic in ("addq", "subq") and instr.operands
+                    and isinstance(instr.operands[0], Imm)):
+                instr.operands = (
+                    Imm(instr.operands[0].value + 8),
+                ) + instr.operands[1:]
+                return sabotaged
+        raise AssertionError("no immediate add/sub to sabotage")
+
+    @pytest.mark.parametrize("converge", (False, True))
+    @pytest.mark.parametrize("campaign", (run_campaign, compose_campaign))
+    def test_divergence_raises_before_records(self, built, tmp_path,
+                                              campaign, converge):
+        path = tmp_path / "records.jsonl"
+        with pytest.raises(DmeDivergenceError):
+            campaign(self._diverging(built["kmeans"]), samples=4, seed=SEED,
+                     jsonl_path=path, converge=converge)
+        assert not path.exists()
 
 
 class TestDurableService:

@@ -9,6 +9,8 @@ campaign therefore do not depend on the engine, ``prune``, composition or
 stats. Bad arguments must be rejected before any work runs.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import InjectionError
@@ -168,3 +170,76 @@ class TestArgumentsValidatedUpFront:
         with pytest.raises(InjectionError, match="processes"):
             compose_campaign(program, samples=SAMPLES, seed=SEED,
                              cache_dir=cache_dir, processes=0)
+
+
+class TestOnePassOneMachine:
+    """Every asm campaign path builds one machine, translates it once and
+    runs one full fault-free pass before its cursor moves."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from repro.machine import translate
+        from repro.machine.cpu import Machine
+
+        monkeypatch.setenv("FERRUM_ENGINE", "translated")
+        counts = Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                if key == "cursor":
+                    counts.setdefault("passes_before_cursor",
+                                      counts["passes"])
+                elif key != "passes" or kwargs.get("resume_from") is None:
+                    counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(Machine, "__init__", "machines")
+        count(translate, "translate_program", "translations")
+        # A full fault-free pass is a trail pass or a run from program
+        # entry; checkpointed injections resume from a cursor snapshot.
+        count(campaign_mod, "record_trail", "passes")
+        count(Machine, "run", "passes")
+        count(Machine, "run_to_site", "cursor")
+        return counts
+
+    @staticmethod
+    def _assert_one(counts):
+        assert counts == {"machines": 1, "translations": 1, "passes": 1,
+                          "passes_before_cursor": 1}
+
+    @pytest.mark.parametrize("converge", (False, True))
+    def test_flat(self, program, counts, converge):
+        run_campaign(program, samples=SAMPLES, seed=SEED, converge=converge)
+        self._assert_one(counts)
+
+    @pytest.mark.parametrize("converge", (False, True))
+    def test_compose_cold_and_warm(self, program, counts, tmp_path,
+                                   converge):
+        for state in ("cold", "warm"):
+            counts.clear()
+            result = compose_campaign(program, samples=SAMPLES, seed=SEED,
+                                      cache_dir=tmp_path, converge=converge)
+            assert (result.compose_stats.cache_misses == 0) == (
+                state == "warm")
+            self._assert_one(counts)
+
+    @pytest.mark.parametrize("converge", (False, True))
+    def test_service_unit(self, counts, tmp_path, converge):
+        """One unit: compile and all of its shards share one machine."""
+        from repro.faultinjection.service import (
+            CampaignSpec,
+            ServiceConfig,
+            serve_campaign,
+        )
+
+        spec = CampaignSpec(workloads=("bfs",), techniques=("ferrum",),
+                            samples=12, seed=SEED, shard_size=4,
+                            converge=converge)
+        report = serve_campaign(tmp_path, spec,
+                                ServiceConfig(workers=0, fsync=False))
+        assert report.complete and report.executed_shards == 3
+        self._assert_one(counts)

@@ -11,10 +11,12 @@ matter which process or engine produced them).
 import pytest
 
 from repro.machine.converge import (
+    FIRST_INTERVAL,
     GIVE_UP_AFTER,
+    TRAIL_CAP,
     ConvergenceTrail,
+    _page_digest,
     record_trail,
-    trail_interval,
 )
 from repro.machine.cpu import Machine
 from repro.machine.memory import Memory, PAGE_SIZE
@@ -26,10 +28,14 @@ ENGINE_NAMES = ("reference", "translated", "fused")
 
 
 @pytest.fixture(scope="module")
-def bfs_program():
-    build = build_variants(get_workload("bfs").source(1),
-                           names=("raw", "ferrum"))
-    return build["ferrum"].asm
+def bfs_build():
+    return build_variants(get_workload("bfs").source(1),
+                          names=("raw", "ferrum"))
+
+
+@pytest.fixture(scope="module")
+def bfs_program(bfs_build):
+    return bfs_build["ferrum"].asm
 
 
 @pytest.fixture(scope="module")
@@ -37,25 +43,29 @@ def bfs_golden(bfs_program):
     return Machine(bfs_program).run()
 
 
+@pytest.fixture(scope="module")
+def bfs_trail(bfs_program):
+    return record_trail(Machine(bfs_program))[1]
+
+
 class TestTrailDeterminism:
     def test_fingerprint_identical_across_engines(self, bfs_program,
-                                                  bfs_golden, monkeypatch):
+                                                  monkeypatch):
         fingerprints = set()
         for engine in ENGINE_NAMES:
             monkeypatch.setenv("FERRUM_ENGINE", engine)
-            trail = record_trail(bfs_program, bfs_golden)
+            _, trail = record_trail(Machine(bfs_program))
             fingerprints.add(trail.fingerprint())
         assert len(fingerprints) == 1, (
             f"trail fingerprint differs across engines: {fingerprints}")
 
     def test_fingerprint_unchanged_by_program_copy(self, bfs_program,
-                                                   bfs_golden):
-        original = record_trail(bfs_program, bfs_golden)
-        copied = record_trail(bfs_program.copy(), bfs_golden)
-        assert original.fingerprint() == copied.fingerprint()
+                                                   bfs_trail):
+        _, copied = record_trail(Machine(bfs_program.copy()))
+        assert bfs_trail.fingerprint() == copied.fingerprint()
 
     def test_fingerprint_identical_across_processes(self, bfs_program,
-                                                    bfs_golden):
+                                                    bfs_trail):
         """Object identities (uids, dict order) never leak into the trail:
         a forked child recording the same trail fingerprints identically."""
         from repro.faultinjection.campaign import _fork_context
@@ -63,10 +73,10 @@ class TestTrailDeterminism:
         context = _fork_context()
         if context is None:
             pytest.skip("fork start method unavailable")
-        parent = record_trail(bfs_program, bfs_golden).fingerprint()
+        parent = bfs_trail.fingerprint()
 
         def child(conn):
-            trail = record_trail(bfs_program, bfs_golden)
+            _, trail = record_trail(Machine(bfs_program))
             conn.send(trail.fingerprint())
             conn.close()
 
@@ -79,11 +89,10 @@ class TestTrailDeterminism:
             process.join()
 
     def test_trail_totals_match_golden(self, bfs_program, bfs_golden):
-        trail = record_trail(bfs_program, bfs_golden)
-        assert trail.total_executed == bfs_golden.dynamic_instructions
-        assert trail.total_sites == bfs_golden.fault_sites
-        assert trail.output == bfs_golden.output
-        assert trail.exit_code == bfs_golden.exit_code
+        """The trail pass is a golden run: its result is Machine.run's."""
+        golden, trail = record_trail(Machine(bfs_program))
+        assert golden == bfs_golden
+        assert trail.golden == bfs_golden
         assert all(entry.site == (i + 1) * trail.interval
                    for i, entry in enumerate(trail.entries))
 
@@ -92,46 +101,76 @@ class TestTrailDeterminism:
         """record_trail restores the dirty-page bookkeeping it borrowed:
         the same machine must produce a bit-identical run afterwards."""
         machine = Machine(bfs_program)
-        record_trail(bfs_program, bfs_golden, machine=machine)
+        record_trail(machine)
         rerun = machine.run()
         assert rerun.output == bfs_golden.output
         assert rerun.exit_code == bfs_golden.exit_code
         assert rerun.dynamic_instructions == bfs_golden.dynamic_instructions
 
+    def test_hook_observes_every_site_once(self, bfs_program, bfs_golden):
+        """An observer hook riding the trail pass sees what it sees on a
+        hooked Machine.run: every site, once, in order."""
+        seen = []
+        record_trail(Machine(bfs_program),
+                     fault_hook=lambda machine, instr, site: seen.append(site))
+        assert seen == list(range(bfs_golden.fault_sites))
+
+
+class TestTrailCoarsening:
+    """Folding halves the trail without losing a written page."""
+
+    def test_entries_match_snapshots(self, bfs_program, bfs_trail):
+        """At every entry ``k``: the pages written over ``entries[:k+1]``
+        are exactly the pages ``digests[k]`` covers, and every digest is
+        the page a fault-free run holds at that site — the determinism
+        check of the one golden pass."""
+        assert bfs_trail.interval > FIRST_INTERVAL  # the trail folded
+        machine = Machine(bfs_program)
+        written = [set() for _ in bfs_trail.entries[0].changed]
+        cursor = None
+        for entry in bfs_trail.entries:
+            cursor = machine.run_to_site(entry.site, resume_from=cursor)
+            for seg, (changed, digests, pages) in enumerate(zip(
+                    entry.changed, entry.digests, cursor.memory.pages)):
+                written[seg] |= changed
+                assert written[seg] == digests.keys(), (entry.site, seg)
+                assert digests == {page: _page_digest(data)
+                                   for page, data in pages.items()}, (
+                    entry.site, seg)
+
 
 class TestTrailShape:
-    def test_default_interval(self):
-        assert trail_interval(10) == 16          # floor
-        assert trail_interval(100_000) == 195    # // 512 dominates
+    def test_default_interval(self, bfs_build, bfs_golden, bfs_trail):
+        """A short run keeps the first interval; a long one folds to an
+        interval never coarser than ``max(16, sites // 512)``."""
+        _, short = record_trail(Machine(bfs_build["raw"].asm))
+        assert short.golden.fault_sites < FIRST_INTERVAL * TRAIL_CAP
+        assert short.interval == FIRST_INTERVAL
+        sites = bfs_golden.fault_sites
+        assert FIRST_INTERVAL < bfs_trail.interval <= max(16, sites // 512)
+        assert TRAIL_CAP // 2 <= len(bfs_trail.entries) < TRAIL_CAP
 
-    def test_invalid_interval_rejected(self, bfs_program, bfs_golden):
-        with pytest.raises(ValueError):
-            record_trail(bfs_program, bfs_golden, interval=0)
-
-    def test_monitor_none_after_last_boundary(self, bfs_program, bfs_golden):
-        trail = record_trail(bfs_program, bfs_golden)
+    def test_monitor_none_after_last_boundary(self, bfs_trail):
+        trail = bfs_trail
         last = trail.entries[-1].site
         assert trail.monitor(last) is None
-        assert trail.monitor(trail.total_sites - 1) is None
+        assert trail.monitor(trail.golden.fault_sites - 1) is None
         monitor = trail.monitor(0)
         assert monitor is not None
         assert monitor.boundaries == trail.entries
 
-    def test_monitor_boundaries_strictly_after_flip(self, bfs_program,
-                                                    bfs_golden):
-        trail = record_trail(bfs_program, bfs_golden)
-        flip = trail.entries[0].site  # exactly on a boundary
-        monitor = trail.monitor(flip)
+    def test_monitor_boundaries_strictly_after_flip(self, bfs_trail):
+        flip = bfs_trail.entries[0].site  # exactly on a boundary
+        monitor = bfs_trail.monitor(flip)
         assert monitor.boundaries[0].site > flip
 
     def test_give_up_bound_is_finite(self):
         assert 1 <= GIVE_UP_AFTER <= 64
 
-    def test_trail_is_frozen(self, bfs_program, bfs_golden):
-        trail = record_trail(bfs_program, bfs_golden)
-        assert isinstance(trail, ConvergenceTrail)
+    def test_trail_is_frozen(self, bfs_trail):
+        assert isinstance(bfs_trail, ConvergenceTrail)
         with pytest.raises(AttributeError):
-            trail.interval = 1
+            bfs_trail.interval = 1
 
 
 class TestWriteWatch:
