@@ -16,7 +16,7 @@ re-execute <= 25% of the flat campaign's sampled injections.
 
 Convergence early-exit gets two gates: the checkpoint engine with
 ``converge=True`` must deliver >= 2x faults/sec on at least 2 of
-{kmeans, lud, knn} while producing byte-identical telemetry JSONL, and a
+{kmeans, lud, knn} while producing byte-identical fault-record JSONL, and a
 masked-fault microbench must show every converged early-site run
 finishing after <= 25% of the golden run's dynamic instructions.
 
@@ -165,7 +165,7 @@ def test_converge_speedup_gate(tmp_path):
     Ferrum variants — their detector instructions dominate the dynamic
     site population and most masked flips hit dead detector registers
     early, which is exactly the population the early-exit targets. No
-    speedup counts unless the outcome counts AND the telemetry JSONL are
+    speedup counts unless the outcome counts AND the fault-record JSONL are
     byte-identical with the feature off, so the speedup is also a
     bit-identity witness.
     """
@@ -176,17 +176,17 @@ def test_converge_speedup_gate(tmp_path):
         conv_path = tmp_path / f"{name}-converge.jsonl"
         baseline, baseline_seconds = timed(
             run_campaign, program, samples=FI_SAMPLES, seed=SEED,
-            engine="checkpoint", telemetry=True, jsonl_path=base_path)
+            engine="checkpoint", jsonl_path=base_path)
         converged, converge_seconds = timed(
             run_campaign, program, samples=FI_SAMPLES, seed=SEED,
-            engine="checkpoint", telemetry=True, jsonl_path=conv_path,
+            engine="checkpoint", jsonl_path=conv_path,
             converge=True)
         assert converged.outcomes.counts == baseline.outcomes.counts, (
             f"{name}: convergence changed campaign outcomes: "
             f"{converged.outcomes.counts} != {baseline.outcomes.counts}"
         )
         assert base_path.read_bytes() == conv_path.read_bytes(), (
-            f"{name}: convergence changed telemetry JSONL bytes")
+            f"{name}: convergence changed JSONL bytes")
         assert converged.convergence_stats.converged > 0, (
             f"{name}: no run converged — the gate would be vacuous")
         speedups[name] = baseline_seconds / converge_seconds

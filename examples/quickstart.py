@@ -59,14 +59,14 @@ def main() -> None:
     # corresponding computation in the protected binary.
     for site in range(golden_raw.fault_sites):
         plan = FaultPlan(site_index=site, register_pick=0.0, bit_pick=0.4)
-        if inject_asm_fault(raw, plan, golden_raw) is Outcome.SDC:
+        if inject_asm_fault(raw, plan, golden_raw).outcome is Outcome.SDC:
             print(f"raw binary, fault at site {site}: SILENT DATA CORRUPTION")
             break
 
     detected = 0
     for site in range(golden_prot.fault_sites):
         plan = FaultPlan(site_index=site, register_pick=0.0, bit_pick=0.4)
-        outcome = inject_asm_fault(protected, plan, golden_prot)
+        outcome = inject_asm_fault(protected, plan, golden_prot).outcome
         assert outcome is not Outcome.SDC, "FERRUM must not leak SDCs"
         if outcome is Outcome.DETECTED:
             detected += 1

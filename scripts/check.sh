@@ -24,6 +24,7 @@ else
 fi
 
 echo "== tier-1 tests (perf marker deselected) =="
+tree_before=$(git status --porcelain)
 PYTHONPATH=src python -m pytest tests -q -m "not perf" || status=$?
 
 echo "== benchmarks collect (imports only) =="
@@ -31,6 +32,16 @@ echo "== benchmarks collect (imports only) =="
 # not only in the advisory perf smoke.
 PYTHONPATH=src python -m pytest benchmarks --collect-only -q >/dev/null \
     || status=$?
+
+echo "== tree stays clean =="
+# Mirrors the CI tests job: a test that writes a cache, JSONL or state
+# directory into the checkout instead of its tmp_path fails here. Compared
+# against the status before the tests, so local edits do not count.
+tree_after=$(git status --porcelain)
+if [ "$tree_after" != "$tree_before" ]; then
+    diff <(echo "$tree_before") <(echo "$tree_after") || true
+    status=1
+fi
 
 echo "== tier-1 tests (reference execution engine) =="
 # Mirrors the CI tests-reference-engine job: the machine's reference

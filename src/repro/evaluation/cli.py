@@ -216,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
             samples=args.samples, seed=args.seed, scale=args.scale,
             jsonl_path=args.jsonl, converge=args.converge,
         )
-        records = campaign.records or []
+        records = campaign.records
         print(f"Telemetry campaign: {workload} / {args.technique} — "
               + campaign.summary())
         print()
@@ -257,9 +257,9 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(render_convergence_stats(campaign.convergence_stats))
         print()
-        print(render_origin_breakdown(campaign.records or []))
+        print(render_origin_breakdown(campaign.records))
         if args.jsonl:
-            print(f"Wrote {len(campaign.records or [])} records "
+            print(f"Wrote {len(campaign.records)} records "
                   f"to {args.jsonl}")
     return 0
 

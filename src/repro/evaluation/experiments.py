@@ -272,14 +272,13 @@ def run_telemetry(
     config: FerrumConfig | None = None,
     converge: bool = False,
 ) -> CampaignResult:
-    """One telemetry-enabled campaign on one benchmark/technique binary.
+    """One per-fault observability campaign on one benchmark/technique binary.
 
-    The observability experiment behind ``ferrum-eval telemetry``: every
-    injected fault comes back as a :class:`FaultRecord`, so the evaluation
-    layer can render the per-origin breakdown, the per-site outcome map,
-    the detection-latency histogram, and the checkpoint-engine stats.
-    ``jsonl_path`` additionally streams the records to disk. Outcome counts
-    match a plain (telemetry-off) campaign with the same seed exactly.
+    The experiment behind ``ferrum-eval telemetry``: every injected fault
+    comes back as a :class:`FaultRecord`, so the evaluation layer can
+    render the per-origin breakdown, the per-site outcome map, the
+    detection-latency histogram, and the checkpoint-engine stats.
+    ``jsonl_path`` additionally streams the records to disk.
     ``converge=True`` enables convergence early-exit (same counts, records
     and bytes; ``result.convergence_stats`` reports the economics).
     """
@@ -287,8 +286,7 @@ def run_telemetry(
     build = build_variants(get_workload(workload).source(scale),
                            names=variants, config=config)
     return run_campaign(build[technique].asm, samples, seed=seed,
-                        telemetry=True, jsonl_path=jsonl_path,
-                        converge=converge)
+                        jsonl_path=jsonl_path, converge=converge)
 
 
 # -- compose: incremental sectioned campaign -----------------------------
@@ -314,7 +312,7 @@ def run_compose(
     sections, each section's sub-campaign is served from the
     content-addressed cache at ``cache_dir`` when its code (and transitive
     callees) are unchanged, and only stale or ``reinject``-ed sections
-    re-execute. Outcome counts, telemetry records and JSONL output are
+    re-execute. Outcome counts, fault records and JSONL output are
     bit-identical to the flat :func:`run_campaign` with the same seed.
     """
     from repro.faultinjection.compose import compose_campaign
@@ -323,7 +321,7 @@ def run_compose(
     build = build_variants(get_workload(workload).source(scale),
                            names=variants, config=config)
     return compose_campaign(
-        build[technique].asm, samples, seed=seed, telemetry=True,
-        jsonl_path=jsonl_path, prune=prune, cache_dir=cache_dir,
-        refresh=reinject, converge=converge,
+        build[technique].asm, samples, seed=seed, jsonl_path=jsonl_path,
+        prune=prune, cache_dir=cache_dir, refresh=reinject,
+        converge=converge,
     )

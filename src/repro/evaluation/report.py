@@ -181,7 +181,7 @@ def render_latency_table(records: Iterable[FaultRecord]) -> str:
 def render_checkpoint_stats(stats: CheckpointStats | None) -> str:
     """One-line checkpoint-engine economics (or a note when absent)."""
     if stats is None:
-        return "Checkpoint stats: n/a (replay engine or telemetry off)."
+        return "Checkpoint stats: n/a (replay engine)."
     return "Checkpoint engine: " + stats.summary()
 
 

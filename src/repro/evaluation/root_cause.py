@@ -96,7 +96,7 @@ def root_causes_from_records(
     records: Iterable[FaultRecord],
     samples: int | None = None,
 ) -> RootCauseResult:
-    """Attribute a telemetry campaign's SDCs to their static instructions.
+    """Attribute a campaign's SDCs to their static instructions.
 
     Records carry the static-instruction ``uid`` of every fault they
     describe; this resolves those back to ``program``'s instruction objects
@@ -134,12 +134,9 @@ def analyze_root_causes(
 
     Run this on an IR-LEVEL-EDDI binary to regenerate the paper's
     Sec. IV-B1 findings; on a FERRUM binary the result should be empty.
-    A thin wrapper over a telemetry campaign: the checkpoint engine serves
-    the samples, and the per-fault records carry the attribution that the
-    pre-telemetry implementation had to recover with an extra full
-    recorder execution per program.
+    A thin wrapper over a campaign: the checkpoint engine serves the
+    samples, and its per-fault records carry the attribution.
     """
     campaign = run_campaign(program, samples, seed=seed, function=function,
-                            args=args, telemetry=True)
-    assert campaign.records is not None
+                            args=args)
     return root_causes_from_records(program, campaign.records, samples=samples)

@@ -28,11 +28,10 @@ count. See ``docs/fault_model.md``.
 loop in serve order, re-executing every injection from instruction 0. The
 checkpoint engine (the default) is bit-identical to it.
 
-``telemetry=True`` (or a ``jsonl_path``) additionally collects one
-:class:`FaultRecord` per fault — attribution, register/bit, detection
-latency — plus :class:`CheckpointStats` under the checkpoint engine.
-Telemetry is purely observational: outcome counts are bit-identical with
-it on or off, and the default-off path adds no per-run work.
+Every injection yields one :class:`FaultRecord` — outcome, attribution,
+register/bit, detection latency — so every campaign keeps its records,
+plus :class:`CheckpointStats` under the checkpoint engine; a
+``jsonl_path`` only streams the same records to disk.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ if TYPE_CHECKING:  # circular at runtime: compose builds on this module
 ENGINES = ("checkpoint", "replay")
 
 #: An (run_index, plan) pair — campaigns thread run indices through every
-#: engine so telemetry records identify the RNG stream that drew them.
+#: engine so fault records identify the RNG stream that drew them.
 IndexedPlan = tuple[int, FaultPlan]
 
 
@@ -76,11 +75,13 @@ IndexedPlan = tuple[int, FaultPlan]
 class CampaignResult:
     """Aggregated result of one injection campaign.
 
-    ``records`` (telemetry campaigns only) holds one :class:`FaultRecord`
-    per sample, sorted by run index; ``checkpoint_stats`` reports the
-    checkpoint engine's snapshot/restore economics. Both are ``None`` when
-    telemetry is off — the default — and their presence never changes
-    ``outcomes``. ``compose_stats`` is filled only by
+    ``records`` holds one :class:`FaultRecord` per sample, sorted by run
+    index, for every flat, IR, composed and service campaign;
+    :func:`repro.faultinjection.multibit.run_multibit_campaign`, whose
+    plans are two flips each, fills only ``outcomes`` and leaves it
+    ``None``. ``checkpoint_stats`` reports the checkpoint engine's
+    snapshot/restore economics (``None`` under the replay engine and for
+    multi-bit campaigns). ``compose_stats`` is filled only by
     :func:`repro.faultinjection.compose.compose_campaign` and reports the
     section partition and cache hit/miss economics; ``convergence_stats``
     is filled by ``converge=True`` campaigns and reports the convergence
@@ -126,23 +127,13 @@ def _checkpoint_schedule(
     return list(sites.items())
 
 
-def _finish(
-    result: CampaignResult, served: list, telemetry: bool
-) -> CampaignResult:
-    """Fold per-run results into the campaign aggregate.
-
-    ``served`` holds (run_index, Outcome | FaultRecord) pairs. With
-    telemetry the records are kept sorted by run index.
-    """
-    if telemetry:
-        ordered = [record for _, record in sorted(served,
-                                                  key=lambda pair: pair[0])]
-        for record in ordered:
-            result.outcomes.record(record.outcome)
-        result.records = ordered
-    else:
-        for _, outcome in served:
-            result.outcomes.record(outcome)
+def _finish(result: CampaignResult, served: list) -> CampaignResult:
+    """Fold ``served`` (run_index, FaultRecord) pairs into the campaign
+    aggregate; the records are kept sorted by run index."""
+    result.records = [record for _, record in sorted(served,
+                                                     key=lambda pair: pair[0])]
+    for record in result.records:
+        result.outcomes.record(record.outcome)
     return result
 
 
@@ -156,10 +147,10 @@ class _ShardContext:
     Built by :func:`_setup`: the program (assembly) or module (IR), the
     campaign's one runner — the :class:`Machine` or :class:`IRInterpreter`
     its golden pass ran on, reused by every cursor advance, restore and
-    injection — the golden run, the entry point, the telemetry flag, the
-    convergence trail and the prune verdicts. ``replay`` marks the
-    sequential reference oracle, which never advances a cursor. Pool
-    workers inherit the parent's context through ``fork``.
+    injection — the golden run, the entry point, the convergence trail and
+    the prune verdicts. ``replay`` marks the sequential reference oracle,
+    which never advances a cursor. Pool workers inherit the parent's
+    context through ``fork``.
     """
 
     target: AsmProgram | IRModule
@@ -167,10 +158,9 @@ class _ShardContext:
     golden: object
     function: str
     args: tuple[int, ...]
-    telemetry: bool
     trail: ConvergenceTrail | None
     replay: bool
-    #: run index -> result the prune pass synthesized without execution
+    #: run index -> record the prune pass synthesized without execution
     synthesized: dict
     #: duplicate run index -> its representative's run index
     clone_of: dict[int, int]
@@ -195,13 +185,11 @@ class _ShardContext:
             return inject_ir_fault(self.target, plan, self.golden,
                                    function=self.function, args=self.args,
                                    interp=self.runner, resume_from=cursor,
-                                   telemetry=self.telemetry,
                                    run_index=run_index)
         return inject_asm_fault(self.target, plan, self.golden,
                                 function=self.function, args=self.args,
                                 machine=self.runner, resume_from=cursor,
-                                telemetry=self.telemetry, run_index=run_index,
-                                converge=self.trail,
+                                run_index=run_index, converge=self.trail,
                                 converge_stats=conv_stats)
 
 
@@ -210,19 +198,20 @@ def _serve(ctx: _ShardContext, entry, plans: list[IndexedPlan], sink=None):
 
     ``entry`` is the snapshot the shard starts from (``None``: program
     entry). Plans are served by fault site, then run index, and each
-    result is written to ``sink`` the moment it exists. At a site where
+    record is written to ``sink`` the moment it exists. At a site where
     some plan executes, the cursor advances to the site (unless a shard or
     section entry already put it there) and each executed plan restores
     it; the replay oracle never advances and runs every injection from
     instruction 0. A pruned plan costs no execution: a synthesized plan
-    yields its synthesized result, and a duplicate clones the result of
+    yields its synthesized record, and a duplicate clones the record of
     its representative — the lowest run index at the same site, so
     already served. A pruned campaign's shards therefore hold whole sites.
 
-    Returns ``(results, checkpoint_stats, convergence_stats)``; the stats
-    are this shard's alone, for the caller to merge.
+    Returns ``(records, checkpoint_stats, convergence_stats)``, the
+    records as (run_index, FaultRecord) pairs; the stats are this shard's
+    alone, for the caller to merge.
     """
-    stats = CheckpointStats() if ctx.telemetry and not ctx.replay else None
+    stats = None if ctx.replay else CheckpointStats()
     conv_stats = ConvergenceStats() if ctx.trail is not None else None
     results = []
     cursor = entry
@@ -231,24 +220,22 @@ def _serve(ctx: _ShardContext, entry, plans: list[IndexedPlan], sink=None):
                                   for run_index, _ in site_plans):
             if cursor is None or cursor.sites < site:
                 cursor = ctx.advance(site, cursor)
-            if stats is not None:
-                stats.note_snapshot(cursor)
+            stats.note_snapshot(cursor)
         executed = {}
         for run_index, plan in site_plans:
             if run_index in ctx.synthesized:
-                outcome = ctx.synthesized[run_index]
+                record = ctx.synthesized[run_index]
             elif run_index in ctx.clone_of:
-                outcome = executed[ctx.clone_of[run_index]]
-                if ctx.telemetry:
-                    outcome = replace(outcome, run_index=run_index)
+                record = replace(executed[ctx.clone_of[run_index]],
+                                 run_index=run_index)
             else:
-                outcome = ctx.inject(plan, cursor, run_index, conv_stats)
-                executed[run_index] = outcome
+                record = ctx.inject(plan, cursor, run_index, conv_stats)
+                executed[run_index] = record
                 if stats is not None:
                     stats.restores += 1
             if sink is not None:
-                sink.write(outcome)
-            results.append((run_index, outcome))
+                sink.write(record)
+            results.append((run_index, record))
     return results, stats, conv_stats
 
 
@@ -358,7 +345,7 @@ def _execute(
     stream their records into ``sink``; otherwise a fork pool serves them
     and the parent writes each shard's records as it arrives, in shard
     order, so the sink sees the same sequence either way. Shard stats merge
-    into ``result``. Returns each shard's (run_index, result) pairs.
+    into ``result``. Returns each shard's (run_index, FaultRecord) pairs.
     """
     context = (_fork_context()
                if processes > 1 and len(shards) > 1 else None)
@@ -394,9 +381,8 @@ def _validate(processes: int, engine: str = "checkpoint") -> None:
 
 
 def _setup(target, samples: int, seed: int, function: str = "main",
-           args: tuple[int, ...] = (), telemetry: bool = False, *,
-           prune: bool = False, converge: bool = False, replay: bool = False,
-           fault_hook=None):
+           args: tuple[int, ...] = (), *, prune: bool = False,
+           converge: bool = False, replay: bool = False, fault_hook=None):
     """The one campaign set-up: one runner, one golden pass, the plan draw.
 
     Builds the runner (a :class:`Machine`, or an :class:`IRInterpreter`
@@ -421,6 +407,7 @@ def _setup(target, samples: int, seed: int, function: str = "main",
         samples=samples,
         fault_sites=golden.fault_sites,
         dynamic_instructions=golden.dynamic_instructions,
+        checkpoint_stats=None if replay else CheckpointStats(),
         convergence_stats=ConvergenceStats() if converge else None,
     )
     rng = DeterministicRng(seed)
@@ -430,14 +417,13 @@ def _setup(target, samples: int, seed: int, function: str = "main",
     ]
     synthesized, clone_of = {}, {}
     if prune:
-        analysis = analyze_plans(target, plans, function=function, args=args,
-                                 telemetry=telemetry)
+        analysis = analyze_plans(target, plans, function=function, args=args)
         result.pruning_stats = analysis.stats
         synthesized = dict(analysis.synthesized)
         clone_of = {dup: rep for rep, dups in analysis.duplicates.items()
                     for dup in dups}
-    ctx = _ShardContext(target, runner, golden, function, args, telemetry,
-                        trail, replay, synthesized, clone_of)
+    ctx = _ShardContext(target, runner, golden, function, args, trail,
+                        replay, synthesized, clone_of)
     return ctx, result, plans
 
 
@@ -451,13 +437,11 @@ def _run(
     """Execute a flat campaign's plans and fold the results."""
     sink = JsonlSink(jsonl_path) if jsonl_path is not None else None
     try:
-        if ctx.telemetry and not ctx.replay:
-            result.checkpoint_stats = CheckpointStats()
         shards = _cut_shards(ctx, plans, processes)
         served = [pair
                   for pairs in _execute(ctx, shards, processes, result, sink)
                   for pair in pairs]
-        return _finish(result, served, ctx.telemetry)
+        return _finish(result, served)
     finally:
         if sink is not None:
             sink.close()
@@ -471,7 +455,6 @@ def run_campaign(
     args: tuple[int, ...] = (),
     processes: int = 1,
     engine: str = "checkpoint",
-    telemetry: bool = False,
     jsonl_path=None,
     prune: bool = False,
     converge: bool = False,
@@ -494,20 +477,19 @@ def run_campaign(
     ``fork`` is unavailable the shards run in-process. The replay engine is
     the sequential reference and rejects ``processes > 1``.
 
-    ``telemetry=True`` collects one :class:`FaultRecord` per fault into
-    ``result.records`` (and fills ``result.checkpoint_stats`` under the
-    checkpoint engine); ``jsonl_path`` implies telemetry and streams the
-    records to disk as JSONL as they complete, in serve order (by fault
-    site, then run index) whatever the engine, process count or ``prune``.
-    Outcome counts are bit-identical with telemetry on or off. Arguments
-    are validated before the golden run.
+    ``result.records`` holds one :class:`FaultRecord` per fault, and
+    ``result.checkpoint_stats`` the checkpoint engine's economics.
+    ``jsonl_path`` streams the records to disk as JSONL as they complete,
+    in serve order (by fault site, then run index) whatever the engine,
+    process count or ``prune``. Arguments are validated before the golden
+    run.
 
     ``prune=True`` runs the outcome-equivalence pass
     (:mod:`repro.faultinjection.equivalence`) first: plans whose outcome is
     provable from the golden trace are synthesized without execution, and
     plans identical in (site, register, bit) to an already-executed one are
-    served by cloning its result. Outcomes, telemetry records and JSONL
-    bytes stay bit-identical to the unpruned campaign;
+    served by cloning its record. Outcomes, records and JSONL bytes stay
+    bit-identical to the unpruned campaign;
     ``result.pruning_stats`` reports how much work was avoided.
 
     ``converge=True`` layers *dynamic* pruning on top: the golden run
@@ -523,9 +505,8 @@ def run_campaign(
     pool workers.
     """
     _validate(processes, engine)
-    telemetry = telemetry or jsonl_path is not None
     ctx, result, plans = _setup(program, samples, seed, function, args,
-                                telemetry, prune=prune, converge=converge,
+                                prune=prune, converge=converge,
                                 replay=engine == "replay")
     return _run(ctx, result, plans, processes, jsonl_path)
 
@@ -538,21 +519,18 @@ def run_ir_campaign(
     args: tuple[int, ...] = (),
     processes: int = 1,
     engine: str = "checkpoint",
-    telemetry: bool = False,
     jsonl_path=None,
 ) -> CampaignResult:
     """Inject ``samples`` faults at IR level (LLFI-style).
 
-    Supports the same ``engine``/``processes``/``telemetry``/
-    ``jsonl_path`` controls as :func:`run_campaign`, with identical
-    guarantees: both engines and any process count yield bit-identical
-    outcome counts, records and JSONL bytes for a given seed, telemetry on
-    or off. Pruning and convergence early-exit are assembly-level only:
-    both read machine state (register files, flags, memory pages) that IR
-    values do not expose.
+    Supports the same ``engine``/``processes``/``jsonl_path`` controls as
+    :func:`run_campaign`, with identical guarantees: both engines and any
+    process count yield bit-identical outcome counts, records and JSONL
+    bytes for a given seed. Pruning and convergence early-exit are
+    assembly-level only: both read machine state (register files, flags,
+    memory pages) that IR values do not expose.
     """
     _validate(processes, engine)
-    telemetry = telemetry or jsonl_path is not None
     ctx, result, plans = _setup(module, samples, seed, function, args,
-                                telemetry, replay=engine == "replay")
+                                replay=engine == "replay")
     return _run(ctx, result, plans, processes, jsonl_path)

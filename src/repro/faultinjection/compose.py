@@ -15,7 +15,7 @@ whole-program rates.
 **Exactness.** The composition is not an approximation: the campaign draws
 the *same* global plans a flat campaign with the same seed would draw and
 merely routes each plan to the section that owns its site, so composed
-counts, per-origin maps, telemetry records and JSONL bytes are
+counts, per-origin maps, fault records and JSONL bytes are
 bit-identical to the flat campaign, for any process count and with
 ``prune=True``. Cached and executed section results are written in the
 executor's one serve order (by fault site, then run index).
@@ -30,7 +30,9 @@ cache. The key is exact for edits that preserve the dynamic prefix and the
 per-section plan routing (e.g. swapping independent instructions,
 re-running after a cache wipe); edits that change the dynamic site
 population change the global plan draw and therefore miss everywhere —
-the cache never returns stale results, it only loses hits. See
+the cache never returns stale results, it only loses hits. An entry
+stores each routed plan's :class:`FaultRecord` without its run index and
+instruction uid, which a hit re-stamps. See
 ``docs/fault_model.md`` ("Compositional campaigns") for the full
 contract.
 """
@@ -61,17 +63,12 @@ from repro.faultinjection.campaign import (
     _setup,
     _validate,
 )
-from repro.faultinjection.outcome import Outcome
-from repro.faultinjection.telemetry import (
-    CheckpointStats,
-    FaultRecord,
-    JsonlSink,
-)
+from repro.faultinjection.telemetry import FaultRecord, JsonlSink
 from repro.machine.cpu import Machine, MachineSnapshot
 
 #: Bumped whenever the on-disk entry layout or key derivation changes;
 #: entries from other versions are treated as misses, never as errors.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -274,7 +271,7 @@ def _trace_sections(
     Returns the set-up's ``(ctx, result, plans)``, the sections, and the
     per-site instruction-uid trace: ``site_uids[site]`` identifies the
     static instruction that is dynamic fault site ``site`` — used to
-    restamp cached telemetry records with the *current* program's uids
+    restamp cached fault records with the *current* program's uids
     (uids are process-local object identity, so they are stripped from
     cache entries).
     """
@@ -313,7 +310,7 @@ def _snapshot_fingerprint(snap: MachineSnapshot) -> str:
     Covers registers, flags, every dirty memory page, accumulated output,
     the heap cursor and input-LCG state, plus the cumulative (pc, executed,
     sites) counters — everything that determines the behavior, budget
-    accounting and telemetry latencies of runs resumed from the snapshot.
+    accounting and detection latencies of runs resumed from the snapshot.
     """
     hasher = hashlib.sha256()
     hasher.update(repr((snap.pc, snap.executed, snap.sites,
@@ -359,7 +356,6 @@ def _section_key(
     plans: list[IndexedPlan],
     function: str,
     args: tuple[int, ...],
-    telemetry: bool,
     trail_fingerprint: str | None = None,
 ) -> str:
     """Content-addressed cache key of one populated section's sub-campaign.
@@ -391,35 +387,29 @@ def _section_key(
              plan.register_pick.hex(), plan.bit_pick.hex()]
             for _, plan in _canonical_plans(section, plans)
         ],
-        "telemetry": bool(telemetry),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
 def _entry_from_results(
-    section: Section, plans: list[IndexedPlan], results: list, telemetry: bool
+    section: Section, plans: list[IndexedPlan], results: list
 ) -> dict:
-    """Serialize one executed section's results in canonical plan order."""
+    """Serialize one executed section's records in canonical plan order."""
     by_run = dict(results)
     stored = []
     for run_index, _ in _canonical_plans(section, plans):
-        payload = by_run[run_index]
-        if telemetry:
-            data = payload.to_json()
-            # Entries are RNG-stream agnostic (run_index) and process
-            # agnostic (instruction_uid is object identity, re-stamped from
-            # the current golden trace on load).
-            del data["run_index"]
-            del data["instruction_uid"]
-            stored.append(data)
-        else:
-            stored.append(payload.value)
+        data = by_run[run_index].to_json()
+        # Entries are RNG-stream agnostic (run_index) and process agnostic
+        # (instruction_uid is object identity, re-stamped from the current
+        # golden trace on load).
+        del data["run_index"]
+        del data["instruction_uid"]
+        stored.append(data)
     return {
         "version": CACHE_VERSION,
         "region": section.region,
         "sites": [section.start_site, section.end_site],
-        "telemetry": bool(telemetry),
         "results": stored,
     }
 
@@ -428,10 +418,9 @@ def _results_from_entry(
     entry: dict,
     section: Section,
     plans: list[IndexedPlan],
-    telemetry: bool,
     site_uids: list[int],
 ) -> list | None:
-    """Deserialize a cache entry back into (run_index, result) pairs.
+    """Deserialize a cache entry back into (run_index, FaultRecord) pairs.
 
     Returns ``None`` — a miss — when the entry does not hold exactly one
     result per routed plan (a corrupt or foreign entry that hashed to the
@@ -444,13 +433,10 @@ def _results_from_entry(
     try:
         for (run_index, _), data in zip(_canonical_plans(section, plans),
                                         stored):
-            if telemetry:
-                record = dict(data)
-                record["run_index"] = run_index
-                record["instruction_uid"] = site_uids[record["site_index"]]
-                results.append((run_index, FaultRecord.from_json(record)))
-            else:
-                results.append((run_index, Outcome(data)))
+            record = dict(data)
+            record["run_index"] = run_index
+            record["instruction_uid"] = site_uids[record["site_index"]]
+            results.append((run_index, FaultRecord.from_json(record)))
     except (KeyError, IndexError, TypeError, ValueError):
         return None
     return results
@@ -478,7 +464,6 @@ def compose_campaign(
     function: str = "main",
     args: tuple[int, ...] = (),
     processes: int = 1,
-    telemetry: bool = False,
     jsonl_path=None,
     prune: bool = False,
     cache_dir=None,
@@ -494,10 +479,9 @@ def compose_campaign(
     content-addressed ``cache_dir`` (when given) or by executing it as one
     shard of the campaign executor, starting from the section-entry
     snapshot, and composes the results. Outcome counts, per-origin maps,
-    telemetry records and JSONL bytes are bit-identical to the flat
-    campaign for any ``processes`` count and ``prune`` setting: the JSONL
-    stream is written in the one serve order (by fault site, then run
-    index).
+    records and JSONL bytes are bit-identical to the flat campaign for any
+    ``processes`` count and ``prune`` setting: the JSONL stream is written
+    in the one serve order (by fault site, then run index).
 
     ``refresh`` names functions whose sections must re-execute even on a
     cache hit (the incremental re-protection workflow: after editing one
@@ -516,7 +500,6 @@ def compose_campaign(
     hits never run, so they have no monitor counters).
     """
     _validate(processes)
-    telemetry = telemetry or jsonl_path is not None
     for name in refresh:
         if not program.has_function(name):
             raise InjectionError(
@@ -525,11 +508,10 @@ def compose_campaign(
             )
     index = _ProgramIndex(program)
     (ctx, result, plans), sections, site_uids = _trace_sections(
-        program, function, args, index, samples, seed, telemetry=telemetry,
-        prune=prune, converge=converge)
+        program, function, args, index, samples, seed, prune=prune,
+        converge=converge)
     trail_fp = ctx.trail.fingerprint() if ctx.trail is not None else None
-    stats = CheckpointStats() if telemetry else None
-    result.checkpoint_stats = stats
+    stats = result.checkpoint_stats
     compose_stats = ComposeStats(sections=len(sections))
     result.compose_stats = compose_stats
     cache = SectionCache(cache_dir) if cache_dir is not None else None
@@ -556,11 +538,10 @@ def compose_campaign(
             pending.append((section, section_plans, None, None))
             continue
         cursor = ctx.advance(section.start_site, cursor)
-        if stats is not None:
-            stats.note_snapshot(cursor)
+        stats.note_snapshot(cursor)
         key = _section_key(index, section, _snapshot_fingerprint(cursor),
                            ctx.golden, section_plans, function, args,
-                           telemetry, trail_fingerprint=trail_fp)
+                           trail_fingerprint=trail_fp)
         refreshed = section.function in refresh_set
         if refreshed:
             compose_stats.refreshed_sections += 1
@@ -569,7 +550,7 @@ def compose_campaign(
             entry = cache.load(key)
             if entry is not None:
                 loaded = _results_from_entry(entry, section, section_plans,
-                                             telemetry, site_uids)
+                                             site_uids)
         if loaded is not None:
             compose_stats.cache_hits += 1
             compose_stats.cached_injections += work
@@ -588,7 +569,7 @@ def compose_campaign(
         section_results[section.index] = pairs
         if cache is not None and key is not None:
             cache.store(key, _entry_from_results(section, section_plans,
-                                                 pairs, telemetry))
+                                                 pairs))
 
     # Pass 3 — compose. The routed results are the flat campaign's result
     # set exactly (same plans, same per-plan outcomes), written in serve
@@ -602,4 +583,4 @@ def compose_campaign(
         with JsonlSink(jsonl_path) as sink:
             for _, record in served:
                 sink.write(record)
-    return _finish(result, served, telemetry)
+    return _finish(result, served)

@@ -131,9 +131,9 @@ class PruningStats:
 class PruningAnalysis:
     """Plan partition produced by :func:`analyze_plans`.
 
-    ``synthesized`` holds (run_index, Outcome|FaultRecord) pairs produced
-    without execution; ``to_execute`` the representative plans that must
-    run; ``duplicates`` maps a representative run index to the run indices
+    ``synthesized`` holds (run_index, FaultRecord) pairs produced without
+    execution; ``to_execute`` the representative plans that must run;
+    ``duplicates`` maps a representative run index to the run indices
     whose plans are bit-identical to it (same site/register/bit — the
     machine is deterministic, so their results are clones).
     """
@@ -988,7 +988,7 @@ def synthesize_record(
     verdict: Verdict,
 ) -> FaultRecord:
     """The :class:`FaultRecord` a real injection of ``plan`` would return
-    (field-for-field identical to ``inject_asm_fault(telemetry=True)``)."""
+    (field-for-field identical to :func:`inject_asm_fault`'s)."""
     return FaultRecord(
         run_index=run_index,
         level="asm",
@@ -1009,7 +1009,6 @@ def analyze_plans(
     plans,
     function: str = "main",
     args: tuple[int, ...] = (),
-    telemetry: bool = False,
     analyzer: TraceAnalyzer | None = None,
 ) -> PruningAnalysis:
     """Partition ``plans`` (list of ``(run_index, FaultPlan)``) into
@@ -1048,12 +1047,8 @@ def analyze_plans(
                 stats.sdc += 1
             class_keys.add((instr.uid, register.name, bit,
                             verdict.outcome, verdict.latency))
-            payload = (
-                synthesize_record(run_index, plan, instr, register, bit,
-                                  verdict)
-                if telemetry else verdict.outcome
-            )
-            analysis.synthesized.append((run_index, payload))
+            analysis.synthesized.append((run_index, synthesize_record(
+                run_index, plan, instr, register, bit, verdict)))
             continue
         dup_key = (plan.site_index, register.name, bit)
         rep = representative.get(dup_key)

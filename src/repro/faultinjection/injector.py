@@ -11,10 +11,10 @@ there target the five condition bits the modeled ISA consumes — flipping an
 unused RFLAGS bit would be trivially benign noise and is excluded, as in
 PINFI-style injectors.
 
-With ``telemetry=True`` an injection returns a :class:`FaultRecord`
-(static instruction, provenance, register/bit, outcome, detection latency)
-instead of the bare :class:`Outcome`; the classification logic is shared,
-so outcomes are identical either way.
+Every injection returns one :class:`FaultRecord`: the outcome together
+with the static instruction, its provenance, the flipped register and bit
+and the detection latency — the attribution the paper's root-cause
+analysis (Figs. 8/9) reads off each fault.
 """
 
 from __future__ import annotations
@@ -111,17 +111,17 @@ def inject_asm_fault(
     timeout_factor: int = 6,
     machine: Machine | None = None,
     resume_from: MachineSnapshot | None = None,
-    telemetry: bool = False,
     run_index: int = -1,
     converge=None,
     converge_stats=None,
-) -> Outcome | FaultRecord:
-    """Run ``program`` once with ``plan``'s fault; classify the outcome.
+) -> FaultRecord:
+    """Run ``program`` once with ``plan``'s fault; return its record.
 
-    The instruction budget is ``timeout_factor`` times the golden run's
-    dynamic length, so runaway loops classify as timeouts without hanging
-    the campaign. Passing a pre-built ``machine`` (for the same program)
-    skips per-run construction; ``run`` resets all architectural state.
+    The record carries the classified outcome. The instruction budget is
+    ``timeout_factor`` times the golden run's dynamic length, so runaway
+    loops classify as timeouts without hanging the campaign. Passing a
+    pre-built ``machine`` (for the same program) skips per-run
+    construction; ``run`` resets all architectural state.
 
     ``resume_from`` switches to the checkpointed protocol: instead of
     replaying the whole golden prefix, execution restores the snapshot (a
@@ -130,9 +130,8 @@ def inject_asm_fault(
     the replay protocol — the snapshot is, by construction, the exact state
     a replay would have reached.
 
-    ``telemetry=True`` returns a :class:`FaultRecord` (same classification,
-    plus attribution and detection latency); ``run_index`` stamps the
-    record with the campaign run that drew the plan.
+    ``run_index`` stamps the returned :class:`FaultRecord` with the
+    campaign run that drew the plan.
 
     ``converge`` accepts a golden :class:`repro.machine.converge.
     ConvergenceTrail`: the run then stops at the trail's boundaries and
@@ -146,19 +145,13 @@ def inject_asm_fault(
         machine = Machine(program)
     monitor = (converge.monitor(plan.site_index)
                if converge is not None else None)
-    fired = False
     hit: dict = {}
 
     def hook(m: Machine, instr: Instruction, site: int) -> None:
-        nonlocal fired
         if site == plan.site_index:
             register, bit = _apply_flip(m, instr, plan)
-            fired = True
-            if telemetry:
-                hit["instr"] = instr
-                hit["register"] = register
-                hit["bit"] = bit
-                hit["flip_executed"] = m.executed_at_site
+            hit.update(instr=instr, register=register, bit=bit,
+                       flip_executed=m.executed_at_site)
 
     budget = max(golden.dynamic_instructions * timeout_factor, 10_000)
     detect_executed: int | None = None
@@ -187,11 +180,6 @@ def inject_asm_fault(
     except MachineError:
         outcome = Outcome.CRASH
     else:
-        if not fired:
-            raise InjectionError(
-                f"fault site {plan.site_index} never executed "
-                f"(golden counted {golden.fault_sites})"
-            )
         if (result.output == golden.output
                 and result.exit_code == golden.exit_code):
             outcome = Outcome.BENIGN
@@ -199,8 +187,6 @@ def inject_asm_fault(
             outcome = Outcome.SDC
     if converge_stats is not None:
         converge_stats.note(monitor)
-    if not telemetry:
-        return outcome
     if not hit:
         raise InjectionError(
             f"fault site {plan.site_index} never executed "
@@ -233,9 +219,8 @@ def inject_ir_fault(
     timeout_factor: int = 10,
     interp: IRInterpreter | None = None,
     resume_from: IRSnapshot | None = None,
-    telemetry: bool = False,
     run_index: int = -1,
-) -> Outcome | FaultRecord:
+) -> FaultRecord:
     """IR-level injection (LLFI-style): flip a bit in an IR result value.
 
     Used by the cross-layer gap experiment: IR-level EDDI looks nearly
@@ -246,25 +231,19 @@ def inject_ir_fault(
     :func:`inject_asm_fault`: restore a prefix snapshot (taken with the
     passed ``interp``) instead of re-executing the golden prefix. The
     instruction budget is passed per-run, so a shared ``interp`` is never
-    mutated. ``telemetry``/``run_index`` mirror :func:`inject_asm_fault`.
+    mutated. ``run_index`` mirrors :func:`inject_asm_fault`.
     """
     if interp is None:
         interp = IRInterpreter(module)
     budget = max(golden.dynamic_instructions * timeout_factor, 10_000)
-    fired = False
     hit: dict = {}
 
     def hook(ip: IRInterpreter, instr, site: int) -> None:
-        nonlocal fired
         if site == plan.site_index:
             width = _width_of(instr)
             bit = int(plan.bit_pick * width) % width
             ip.flip_value(instr, bit)
-            fired = True
-            if telemetry:
-                hit["instr"] = instr
-                hit["bit"] = bit
-                hit["flip_executed"] = ip.executed
+            hit.update(instr=instr, bit=bit, flip_executed=ip.executed)
 
     detect_executed: int | None = None
     try:
@@ -289,17 +268,11 @@ def inject_ir_fault(
     except MachineError:
         outcome = Outcome.CRASH
     else:
-        if not fired:
-            raise InjectionError(
-                f"IR fault site {plan.site_index} never executed"
-            )
         if (result.output == golden.output
                 and result.exit_code == golden.exit_code):
             outcome = Outcome.BENIGN
         else:
             outcome = Outcome.SDC
-    if not telemetry:
-        return outcome
     if not hit:
         raise InjectionError(f"IR fault site {plan.site_index} never executed")
     instr = hit["instr"]

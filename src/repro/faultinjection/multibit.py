@@ -164,17 +164,22 @@ def run_multibit_campaign(
     function: str = "main",
     args: tuple[int, ...] = (),
 ) -> CampaignResult:
-    """A seeded campaign of double faults (``mode``: spatial | temporal)."""
+    """A seeded campaign of double faults (``mode``: spatial | temporal).
+
+    The golden pass and every injection run on one :class:`Machine`. The
+    result holds outcome counts only: a plan is two flips, which one
+    :class:`~repro.faultinjection.telemetry.FaultRecord` cannot describe.
+    """
     if mode not in ("spatial", "temporal"):
         raise InjectionError(f"unknown multi-bit mode {mode!r}")
-    golden = Machine(program).run(function=function, args=args)
+    machine = Machine(program)
+    golden = machine.run(function=function, args=args)
     result = CampaignResult(
         samples=samples,
         fault_sites=golden.fault_sites,
         dynamic_instructions=golden.dynamic_instructions,
     )
     rng = DeterministicRng(seed)
-    machine = Machine(program)
     sampler = (MultiBitPlan.sample_spatial if mode == "spatial"
                else MultiBitPlan.sample_temporal)
     for run_index in range(samples):

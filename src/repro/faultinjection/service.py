@@ -262,7 +262,7 @@ def compile_campaign(spec: CampaignSpec) -> list[CompiledUnit]:
             build = build_variants(source, names=names)
             program = build[technique].asm
             ctx, _, plans = _setup(program, spec.samples, spec.seed,
-                                   telemetry=True, converge=spec.converge)
+                                   converge=spec.converge)
             index = len(units)
             uid_map = {instr.uid: ordinal for ordinal, instr
                        in enumerate(program.instructions())}
@@ -326,6 +326,17 @@ class ServiceConfig:
     log: Callable[[str], None] | None = None
     fail_shards: dict[str, int] = field(default_factory=dict)
     hang_shards: dict[str, int] = field(default_factory=dict)
+
+    def validate(self) -> None:
+        """Reject knobs under which no shard could ever complete."""
+        if self.workers < 0:
+            raise ServiceError(f"workers must be >= 0, got {self.workers}")
+        if self.max_failures < 1:
+            raise ServiceError(
+                f"max_failures must be >= 1, got {self.max_failures}")
+        if self.shard_timeout <= 0:
+            raise ServiceError(
+                f"shard_timeout must be > 0, got {self.shard_timeout}")
 
 
 @dataclass
@@ -430,6 +441,7 @@ class CampaignService:
         self.state_dir = os.fspath(state_dir)
         self.spec = spec
         self.config = config or ServiceConfig()
+        self.config.validate()
         self._lock = FileLock(os.path.join(self.state_dir, "lock"))
         self.peak_record_buffer = 0
         self._adopted = 0

@@ -4,8 +4,8 @@ The paper's headline analysis is *attribution*: Figs. 8/9 trace every SDC
 escape back to the static instruction the fault hit and its provenance
 (application code vs backend-inserted duplication/capture/check code), and
 the "fast" in the title is about how quickly a checker catches a flipped
-bit. Outcome counters alone cannot reproduce that, so campaigns optionally
-emit one :class:`FaultRecord` per injected fault:
+bit. Outcome counters alone cannot reproduce that, so every injection
+returns one :class:`FaultRecord`:
 
 * **where** — dynamic site ordinal, static instruction text, mnemonic,
   provenance tag (``app`` for application code; ``dup``/``pre``/
@@ -18,10 +18,6 @@ Records are plain data (JSON round-trippable) so large campaigns can
 stream them to a :class:`JsonlSink` instead of holding them in memory.
 Aggregation helpers build the per-origin / per-instruction outcome maps
 and the detection-latency histogram the evaluation layer renders.
-
-Telemetry is strictly observational: enabling it never changes which
-faults are sampled or how outcomes classify, so telemetry-on campaigns
-stay bit-identical in counts to telemetry-off ones.
 """
 
 from __future__ import annotations

@@ -238,11 +238,11 @@ class FaultSoundnessOracle(Oracle):
                 cursor = machine.run_to_site(site, resume_from=cursor)
                 for register_pick, bit_pick in self.picks:
                     plan = FaultPlan(site, register_pick, bit_pick)
-                    outcome = inject_asm_fault(
+                    record = inject_asm_fault(
                         program, plan, golden,
                         machine=machine, resume_from=cursor,
                     )
-                    if outcome is Outcome.SDC:
+                    if record.outcome is Outcome.SDC:
                         return self._verdict(
                             False,
                             f"{variant}: SDC at site {site} "

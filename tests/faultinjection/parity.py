@@ -5,7 +5,7 @@ checkpoint engines, pruning, composition, the durable service, parallel
 workers, DME lockstep) carries the same headline contract: for a fixed
 seed it must be *bit-identical* to the plain flat campaign. The suites
 that pin this contract all need the same comparisons — aggregate counts,
-fault-site population, telemetry records field-for-field, per-origin
+fault-site population, fault records field-for-field, per-origin
 maps, JSONL bytes. Keeping them here means a new execution strategy
 (like the DME detector) states its parity obligations in one line per
 axis instead of re-deriving the assertion set.
@@ -31,17 +31,16 @@ def assert_counts_identical(actual, reference, context=""):
 
 
 def assert_campaigns_identical(actual, reference, context=""):
-    """Full bit-identity: counts, population, and telemetry records.
+    """Full bit-identity: counts, population, and fault records.
 
-    Records are compared field-for-field in run-index order; both
-    campaigns must have been run with ``telemetry=True``.
+    Records are compared field-for-field in run-index order.
     """
     assert_counts_identical(actual, reference, context=context)
     note = f" [{context}]" if context else ""
     assert actual.records is not None and reference.records is not None, (
-        f"parity check needs telemetry records on both sides{note}")
+        f"parity check needs records on both sides{note}")
     assert actual.records == reference.records, (
-        f"telemetry records diverge{note}")
+        f"fault records diverge{note}")
 
 
 def assert_origin_maps_identical(actual_records, reference_records,

@@ -103,9 +103,9 @@ class TestGeneratedProgramEngineEquivalence:
     def test_asm_engines_bit_identical(self, generated, fuzz_seed):
         program = generated[fuzz_seed]["ferrum"].asm
         replay = run_campaign(program, samples=SAMPLES, seed=SEED,
-                              engine="replay", telemetry=True)
+                              engine="replay")
         checkpointed = run_campaign(program, samples=SAMPLES, seed=SEED,
-                                    engine="checkpoint", telemetry=True)
+                                    engine="checkpoint")
         assert_campaigns_identical(checkpointed, replay,
                                    context=f"fuzz-{fuzz_seed}")
 
@@ -113,9 +113,9 @@ class TestGeneratedProgramEngineEquivalence:
     def test_ir_engines_bit_identical(self, generated, fuzz_seed):
         ir = generated[fuzz_seed]["raw"].ir
         replay = run_ir_campaign(ir, samples=SAMPLES, seed=SEED,
-                                 engine="replay", telemetry=True)
+                                 engine="replay")
         checkpointed = run_ir_campaign(ir, samples=SAMPLES, seed=SEED,
-                                       engine="checkpoint", telemetry=True)
+                                       engine="checkpoint")
         assert_campaigns_identical(checkpointed, replay,
                                    context=f"ir fuzz-{fuzz_seed}")
 
@@ -129,7 +129,7 @@ class TestGeneratedProgramEngineEquivalence:
 
 class TestExecutionEngineEquivalence:
     """The machine's translated execution engine (``FERRUM_ENGINE``) must be
-    invisible to campaigns: outcomes, fault-site populations, and telemetry
+    invisible to campaigns: outcomes, fault-site populations, and fault
     records are bit-identical whether machines run translated or through the
     reference handler loop — under both campaign engines."""
 
@@ -149,7 +149,7 @@ class TestExecutionEngineEquivalence:
         monkeypatch.setenv("FERRUM_ENGINE", machine_engine)
         try:
             return run_campaign(program, samples=SAMPLES, seed=SEED,
-                                telemetry=True, **kwargs)
+                                **kwargs)
         finally:
             monkeypatch.delenv("FERRUM_ENGINE")
 

@@ -4,7 +4,7 @@
 function/loop-nest sections, runs per-section sub-campaigns off shared
 prefix snapshots, and composes the results. For any fixed seed the
 composed campaign must be bit-identical to the flat ``run_campaign`` —
-counts, per-origin maps, telemetry records and JSONL bytes — across
+counts, per-origin maps, fault records and JSONL bytes — across
 machine engines, ``prune`` and ``processes``. The on-disk section cache
 must serve warm reruns without executing a single injection and
 invalidate exactly the sections whose code changed.
@@ -51,10 +51,9 @@ def built():
 
 @pytest.fixture(scope="module")
 def flat(built):
-    """One flat telemetry campaign per workload — the reference results."""
+    """One flat campaign per workload — the reference results."""
     return {
-        name: run_campaign(program, samples=SAMPLES, seed=SEED,
-                           telemetry=True)
+        name: run_campaign(program, samples=SAMPLES, seed=SEED)
         for name, program in built.items()
     }
 
@@ -85,7 +84,7 @@ class TestComposedBitIdentity:
     def test_campaign_engines_identical(self, built, flat, engine):
         """Compose's reference is the flat campaign under either engine."""
         reference = run_campaign(built["knn"], samples=SAMPLES, seed=SEED,
-                                 telemetry=True, engine=engine)
+                                 engine=engine)
         assert_campaigns_identical(run_composed(built["knn"]), reference,
                                    context=engine)
 
@@ -108,8 +107,7 @@ class TestComposedBitIdentity:
         composed_path = tmp_path / "composed.jsonl"
         run_campaign(built["knn"], samples=SAMPLES, seed=SEED,
                      jsonl_path=flat_path)
-        run_composed(built["knn"], telemetry=False,
-                     jsonl_path=composed_path)
+        run_composed(built["knn"], jsonl_path=composed_path)
         assert_jsonl_identical(composed_path, flat_path)
 
     def test_pruned_jsonl_byte_identical(self, built, tmp_path):
@@ -117,14 +115,12 @@ class TestComposedBitIdentity:
         composed_path = tmp_path / "composed.jsonl"
         run_campaign(built["knn"], samples=SAMPLES, seed=SEED,
                      jsonl_path=flat_path, prune=True)
-        run_composed(built["knn"], telemetry=False,
-                     jsonl_path=composed_path, prune=True)
+        run_composed(built["knn"], jsonl_path=composed_path, prune=True)
         assert_jsonl_identical(composed_path, flat_path)
 
 
-def run_composed(program, telemetry=True, **kwargs):
-    return compose_campaign(program, samples=SAMPLES, seed=SEED,
-                            telemetry=telemetry, **kwargs)
+def run_composed(program, **kwargs):
+    return compose_campaign(program, samples=SAMPLES, seed=SEED, **kwargs)
 
 
 class TestSectionPartition:
@@ -213,8 +209,7 @@ class TestSectionCache:
         # experiment.
         target.entry.instructions[0].comment = "edited"
         after = run_composed(edited, cache_dir=cache_dir)
-        flat_edited = run_campaign(edited, samples=SAMPLES, seed=SEED,
-                                   telemetry=True)
+        flat_edited = run_campaign(edited, samples=SAMPLES, seed=SEED)
         assert_campaigns_identical(after, flat_edited)
 
         stats = after.compose_stats

@@ -42,9 +42,9 @@ def _pair(program, tmp_path, tag, **kwargs):
     """One campaign with converge off and one with it on, JSONL streamed."""
     off_path = tmp_path / f"{tag}-off.jsonl"
     on_path = tmp_path / f"{tag}-on.jsonl"
-    off = run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
+    off = run_campaign(program, samples=SAMPLES, seed=SEED,
                        jsonl_path=off_path, **kwargs)
-    on = run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
+    on = run_campaign(program, samples=SAMPLES, seed=SEED,
                       jsonl_path=on_path, converge=True, **kwargs)
     return off, on, off_path, on_path
 
@@ -85,9 +85,9 @@ class TestBitIdentity:
     def test_parallel_matches_sequential(self, built, tmp_path):
         program = built["bfs"]["ferrum"]
         sequential = run_campaign(program, samples=SAMPLES, seed=SEED,
-                                  telemetry=True, converge=True)
+                                  converge=True)
         parallel = run_campaign(program, samples=SAMPLES, seed=SEED,
-                                telemetry=True, converge=True, processes=2)
+                                converge=True, processes=2)
         assert_campaigns_identical(parallel, sequential)
         # Stats are order-independent sums: parallel == sequential.
         assert (parallel.convergence_stats.summary()
@@ -98,9 +98,9 @@ class TestBitIdentity:
         off_path = tmp_path / "prune-off.jsonl"
         on_path = tmp_path / "prune-on.jsonl"
         off = run_campaign(program, samples=SAMPLES, seed=SEED,
-                           telemetry=True, prune=True, jsonl_path=off_path)
+                           prune=True, jsonl_path=off_path)
         on = run_campaign(program, samples=SAMPLES, seed=SEED,
-                          telemetry=True, prune=True, converge=True,
+                          prune=True, converge=True,
                           jsonl_path=on_path)
         assert_campaigns_identical(on, off, context="prune+converge")
         assert_jsonl_identical(on_path, off_path)
@@ -117,9 +117,9 @@ class TestBitIdentity:
         program = built["bfs"]["ferrum"]
         path = tmp_path / "converge-prune.jsonl"
         plain_path = tmp_path / "plain.jsonl"
-        run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
+        run_campaign(program, samples=SAMPLES, seed=SEED,
                      prune=True, converge=True, jsonl_path=path)
-        run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
+        run_campaign(program, samples=SAMPLES, seed=SEED,
                      jsonl_path=plain_path)
         assert_jsonl_identical(path, plain_path)
 
@@ -129,12 +129,12 @@ class TestComposeAndService:
         program = built["knn"]["ferrum"]
         flat_path = tmp_path / "flat.jsonl"
         flat = run_campaign(program, samples=SAMPLES, seed=SEED,
-                            telemetry=True, jsonl_path=flat_path)
+                            jsonl_path=flat_path)
         cache = tmp_path / "cache"
         for tag in ("cold", "warm"):
             path = tmp_path / f"{tag}.jsonl"
             composed = compose_campaign(program, SAMPLES, seed=SEED,
-                                        telemetry=True, jsonl_path=path,
+                                        jsonl_path=path,
                                         cache_dir=cache, converge=True)
             assert_campaigns_identical(composed, flat, context=tag)
             assert_jsonl_identical(path, flat_path)
@@ -147,12 +147,12 @@ class TestComposeAndService:
         the trail fingerprint partitions the key space."""
         program = built["bfs"]["ferrum"]
         cache = tmp_path / "cache"
-        compose_campaign(program, SAMPLES, seed=SEED, telemetry=True,
+        compose_campaign(program, SAMPLES, seed=SEED,
                          cache_dir=cache, converge=True)
         from repro.faultinjection.compose import SectionCache
 
         converged_keys = SectionCache(cache).keys()
-        plain = compose_campaign(program, SAMPLES, seed=SEED, telemetry=True,
+        plain = compose_campaign(program, SAMPLES, seed=SEED,
                                  cache_dir=cache)
         assert plain.compose_stats.cache_hits == 0
         assert SectionCache(cache).keys() > converged_keys

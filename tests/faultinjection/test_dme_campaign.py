@@ -4,7 +4,7 @@ The detector rides the whole fault-injection stack with zero
 special-casing — ``build_variants`` produces it, ``Machine`` dispatches
 to the lockstep runner, and every execution strategy (replay/checkpoint
 engines, pruning, composition, parallel workers, the durable service)
-must deliver bit-identical counts and telemetry records. The gated
+must deliver bit-identical counts and fault records. The gated
 coverage test pins the headline claim: on backend-inserted fault sites
 (non-programmer-visible work that IR-level duplication cannot even see)
 DME's coverage is at least FERRUM's, with zero SDCs and zero false
@@ -57,8 +57,7 @@ def built():
 @pytest.fixture(scope="module")
 def flat(built):
     return {
-        name: run_campaign(program, samples=SAMPLES, seed=SEED,
-                           telemetry=True)
+        name: run_campaign(program, samples=SAMPLES, seed=SEED)
         for name, program in built.items()
     }
 
@@ -76,10 +75,8 @@ class TestVariantIdentity:
         sampled plans agree with a raw campaign plan-for-plan."""
         build = build_variants(get_workload("kmeans").source(1),
                                names=("raw", "dme"))
-        raw = run_campaign(build["raw"].asm, samples=10, seed=3,
-                           telemetry=True)
-        dme = run_campaign(build["dme"].asm, samples=10, seed=3,
-                           telemetry=True)
+        raw = run_campaign(build["raw"].asm, samples=10, seed=3)
+        dme = run_campaign(build["dme"].asm, samples=10, seed=3)
         assert dme.fault_sites == raw.fault_sites
         for dme_rec, raw_rec in zip(dme.records, raw.records):
             assert dme_rec.site_index == raw_rec.site_index
@@ -91,33 +88,33 @@ class TestEngineParity:
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_replay_matches_checkpoint(self, built, flat, name):
         replay = run_campaign(built[name], samples=SAMPLES, seed=SEED,
-                              engine="replay", telemetry=True)
+                              engine="replay")
         assert_campaigns_identical(replay, flat[name], context=name)
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_pruned_matches_flat(self, built, flat, name):
         pruned = run_campaign(built[name], samples=SAMPLES, seed=SEED,
-                              telemetry=True, prune=True)
+                              prune=True)
         assert_campaigns_identical(pruned, flat[name], context=name)
         assert pruned.pruning_stats is not None
 
     def test_parallel_matches_sequential(self, built, flat):
         parallel = run_campaign(built["kmeans"], samples=SAMPLES, seed=SEED,
-                                telemetry=True, processes=2)
+                                processes=2)
         assert_campaigns_identical(parallel, flat["kmeans"])
 
     def test_machine_engines_agree(self, built, flat, monkeypatch):
         for machine_engine in ("reference", "translated"):
             monkeypatch.setenv("FERRUM_ENGINE", machine_engine)
             campaign = run_campaign(built["kmeans"], samples=SAMPLES,
-                                    seed=SEED, telemetry=True)
+                                    seed=SEED)
             assert_campaigns_identical(campaign, flat["kmeans"],
                                        context=machine_engine)
         monkeypatch.delenv("FERRUM_ENGINE")
 
     def test_origin_maps_tag_backend_sites(self, built, flat):
         pruned = run_campaign(built["kmeans"], samples=SAMPLES, seed=SEED,
-                              telemetry=True, prune=True)
+                              prune=True)
         assert_origin_maps_identical(pruned.records, flat["kmeans"].records)
 
 
@@ -125,10 +122,10 @@ class TestComposeParity:
     def test_composed_matches_flat_and_caches(self, built, flat, tmp_path):
         cache_dir = tmp_path / "cache"
         cold = compose_campaign(built["kmeans"], samples=SAMPLES, seed=SEED,
-                                telemetry=True, cache_dir=cache_dir)
+                                cache_dir=cache_dir)
         assert_campaigns_identical(cold, flat["kmeans"], context="cold")
         warm = compose_campaign(built["kmeans"], samples=SAMPLES, seed=SEED,
-                                telemetry=True, cache_dir=cache_dir)
+                                cache_dir=cache_dir)
         assert_campaigns_identical(warm, flat["kmeans"], context="warm")
         assert warm.compose_stats.executed_injections == 0
 
@@ -140,12 +137,11 @@ class TestComposeParity:
         build = build_variants(get_workload("kmeans").source(1),
                                names=("raw", "dme"))
         compose_campaign(build["dme"].asm, samples=15, seed=3,
-                         telemetry=True, cache_dir=cache_dir)
+                         cache_dir=cache_dir)
         raw_composed = compose_campaign(build["raw"].asm, samples=15, seed=3,
-                                        telemetry=True, cache_dir=cache_dir)
+                                        cache_dir=cache_dir)
         assert raw_composed.compose_stats.cache_hits == 0
-        raw_flat = run_campaign(build["raw"].asm, samples=15, seed=3,
-                                telemetry=True)
+        raw_flat = run_campaign(build["raw"].asm, samples=15, seed=3)
         assert_campaigns_identical(raw_composed, raw_flat)
 
 
@@ -239,7 +235,7 @@ class TestCoverageGate:
 
     def _backend_outcomes(self, program):
         campaign = run_campaign(program, samples=self.SAMPLES, seed=11,
-                                telemetry=True, prune=True)
+                                prune=True)
         backend = [r for r in campaign.records if r.origin == "backend"]
         sdc_total = sum(1 for r in campaign.records
                         if r.outcome is Outcome.SDC)

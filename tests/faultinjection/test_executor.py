@@ -118,8 +118,7 @@ class TestStatsIndependentOfProcesses:
 
     def test_flat_asm(self, program):
         runs = [run_campaign(program, samples=SAMPLES, seed=SEED,
-                             telemetry=True, converge=True,
-                             processes=processes)
+                             converge=True, processes=processes)
                 for processes in (1, 2)]
         assert runs[0].checkpoint_stats.snapshots > 0
         assert runs[0].convergence_stats.runs == SAMPLES
@@ -127,17 +126,17 @@ class TestStatsIndependentOfProcesses:
 
     def test_ir(self, build):
         runs = [run_ir_campaign(build["raw"].ir, samples=SAMPLES, seed=SEED,
-                                telemetry=True, processes=processes)
+                                processes=processes)
                 for processes in (1, 3)]
         assert runs[0].checkpoint_stats.restores == SAMPLES
         self._assert_stats_equal(runs[1], runs[0])
 
     def test_compose(self, program):
         runs = [compose_campaign(program, samples=SAMPLES, seed=SEED,
-                                 telemetry=True, converge=True,
-                                 processes=processes)
+                                 converge=True, processes=processes)
                 for processes in (1, 2)]
         assert runs[0].compose_stats.populated_sections > 1
+        assert runs[0].checkpoint_stats.snapshots > 0
         self._assert_stats_equal(runs[1], runs[0])
 
 
@@ -173,8 +172,8 @@ class TestArgumentsValidatedUpFront:
 
 
 class TestOnePassOneMachine:
-    """Every asm campaign path builds one machine, translates it once and
-    runs one full fault-free pass before its cursor moves."""
+    """Every asm campaign path builds one machine and translates it once;
+    those with a cursor run one full fault-free pass before it moves."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -243,3 +242,12 @@ class TestOnePassOneMachine:
                                 ServiceConfig(workers=0, fsync=False))
         assert report.complete and report.executed_shards == 3
         self._assert_one(counts)
+
+    def test_multibit(self, program, counts):
+        """Multi-bit injections are full runs, so there is no cursor; the
+        golden pass and every injection share one machine."""
+        from repro.faultinjection.multibit import run_multibit_campaign
+
+        run_multibit_campaign(program, samples=4, seed=SEED)
+        assert counts["machines"] == 1
+        assert counts["translations"] == 1

@@ -60,7 +60,7 @@ class TestAsmInjection:
         outcomes = set()
         for site in range(golden.fault_sites):
             plan = FaultPlan(site_index=site, register_pick=0.0, bit_pick=0.3)
-            outcomes.add(inject_asm_fault(program, plan, golden))
+            outcomes.add(inject_asm_fault(program, plan, golden).outcome)
         assert Outcome.SDC in outcomes
 
     def test_unreached_site_raises(self, program, golden):
@@ -73,7 +73,7 @@ class TestAsmInjection:
         outcomes = []
         for site in range(golden.fault_sites):
             plan = FaultPlan(site_index=site, register_pick=0.9, bit_pick=0.99)
-            outcomes.append(inject_asm_fault(program, plan, golden))
+            outcomes.append(inject_asm_fault(program, plan, golden).outcome)
         assert Outcome.BENIGN in outcomes
 
     def test_machine_reuse_matches_fresh(self, program, golden):
@@ -93,7 +93,7 @@ class TestIrInjection:
         outcomes = set()
         for site in range(golden.fault_sites):
             plan = FaultPlan(site_index=site, register_pick=0.0, bit_pick=0.4)
-            outcomes.add(inject_ir_fault(module, plan, golden))
+            outcomes.add(inject_ir_fault(module, plan, golden).outcome)
         assert Outcome.SDC in outcomes
 
     def test_ir_injection_deterministic(self):
@@ -121,7 +121,7 @@ class TestCrashAndTimeout:
             # Flip a high bit: pointers become wild.
             plan = FaultPlan(site_index=site, register_pick=0.0,
                              bit_pick=0.74)  # bit ~47 of a 64-bit register
-            outcomes.add(inject_asm_fault(program, plan, golden))
+            outcomes.add(inject_asm_fault(program, plan, golden).outcome)
         assert Outcome.CRASH in outcomes
 
     def test_loop_counter_corruption_can_timeout(self):
@@ -141,7 +141,7 @@ class TestCrashAndTimeout:
             # sign of the loop counter makes the loop run ~2^31 iterations.
             plan = FaultPlan(site_index=site, register_pick=0.0,
                              bit_pick=0.97)
-            outcomes.add(inject_asm_fault(program, plan, golden))
+            outcomes.add(inject_asm_fault(program, plan, golden).outcome)
             if Outcome.TIMEOUT in outcomes:
                 break
         assert Outcome.TIMEOUT in outcomes

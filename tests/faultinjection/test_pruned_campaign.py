@@ -4,7 +4,7 @@ Pruning (``run_campaign(prune=True)``) classifies statically-masked fault
 sites from the golden trace and collapses outcome-equivalent dynamic sites
 into classes injected once. It is pure execution strategy: for any fixed
 seed, the pruned campaign must report exactly the same aggregate outcome
-counts, telemetry records, per-origin maps and JSONL bytes as the
+counts, fault records, per-origin maps and JSONL bytes as the
 unpruned one — only ``pruning_stats`` (and wall-clock) may differ.
 """
 
@@ -62,18 +62,16 @@ class TestPrunedBitIdentity:
         """Synthesized and cloned records must be indistinguishable from
         executed ones — field for field, in run-index order."""
         program = built["knn"]["ferrum"]
-        plain = run_campaign(program, samples=SAMPLES, seed=SEED,
-                             telemetry=True)
+        plain = run_campaign(program, samples=SAMPLES, seed=SEED)
         pruned = run_campaign(program, samples=SAMPLES, seed=SEED,
-                              telemetry=True, prune=True)
+                              prune=True)
         assert_campaigns_identical(pruned, plain)
 
     def test_per_origin_telemetry_identical(self, built):
         program = built["bfs"]["ferrum"]
-        plain = run_campaign(program, samples=SAMPLES, seed=SEED,
-                             telemetry=True)
+        plain = run_campaign(program, samples=SAMPLES, seed=SEED)
         pruned = run_campaign(program, samples=SAMPLES, seed=SEED,
-                              telemetry=True, prune=True)
+                              prune=True)
         assert_origin_maps_identical(pruned.records, plain.records)
 
     def test_jsonl_content_identical(self, built, tmp_path):
@@ -82,9 +80,9 @@ class TestPrunedBitIdentity:
         program = built["bfs"]["ferrum"]
         plain_path = tmp_path / "plain.jsonl"
         pruned_path = tmp_path / "pruned.jsonl"
-        run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
+        run_campaign(program, samples=SAMPLES, seed=SEED,
                      jsonl_path=plain_path)
-        run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
+        run_campaign(program, samples=SAMPLES, seed=SEED,
                      jsonl_path=pruned_path, prune=True)
         assert_jsonl_identical(pruned_path, plain_path)
         # and the pruned file is complete: one record per sample
@@ -163,7 +161,7 @@ class TestPrunedWork:
 
     def test_stats_pinned(self, built):
         result = run_campaign(built["knn"]["ferrum"], samples=SAMPLES,
-                              seed=SEED, telemetry=True, prune=True)
+                              seed=SEED, prune=True)
         assert result.pruning_stats == PruningStats(
             samples=25, classified=22, executed_injections=3,
             statically_masked=0, detected=19, benign=3, sdc=0,

@@ -84,6 +84,23 @@ class TestSpec:
             spec.validate()
 
 
+class TestConfig:
+    @pytest.mark.parametrize("bad, message", [
+        (dict(workers=-3), "workers"),
+        (dict(max_failures=0), "max_failures"),
+        (dict(shard_timeout=0.0), "shard_timeout"),
+        (dict(shard_timeout=-1.0), "shard_timeout"),
+    ])
+    def test_unworkable_config_rejected_before_journal(self, tmp_path, bad,
+                                                        message):
+        """A config under which no shard could ever complete fails loudly,
+        before the state directory or its journal exist."""
+        state_dir = tmp_path / "state"
+        with pytest.raises(ServiceError, match=message):
+            serve_campaign(state_dir, TINY, _config(**bad))
+        assert not state_dir.exists()
+
+
 class TestCompile:
     def test_shard_boundaries_do_not_change_plans(self):
         coarse = compile_campaign(SPEC)[0]
@@ -113,8 +130,7 @@ class TestCompile:
         unit = compile_campaign(SPEC)[0]
         program = build_variants(get_workload("bfs").source(1),
                                  names=("raw", "ferrum"))["ferrum"].asm
-        flat = run_campaign(program, SPEC.samples, seed=SPEC.seed,
-                            telemetry=True)
+        flat = run_campaign(program, SPEC.samples, seed=SPEC.seed)
         by_run = {run: plan for _, plans in unit.shards
                   for run, plan in plans}
         for record in flat.records:

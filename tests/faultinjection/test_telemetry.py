@@ -1,9 +1,8 @@
-"""Campaign telemetry tests: records, aggregation, streaming, invariance.
+"""Fault-record tests: records, aggregation, streaming, engine invariance.
 
-The load-bearing property is *observational purity*: telemetry may never
-change which faults a campaign samples or how they classify. Several tests
-here pin that down by comparing telemetry-on and telemetry-off campaigns
-(and checkpoint vs replay engines) record by record and count by count.
+Every injection returns one :class:`FaultRecord`, and every campaign keeps
+one per sample. Several tests here compare the checkpoint and replay
+engines, and sequential and parallel runs, record by record.
 """
 
 import json
@@ -125,15 +124,20 @@ class TestJsonl:
 
 class TestInjectorTelemetry:
     def test_record_matches_plain_outcome(self, build):
+        """A record resumed from a cursor snapshot equals the one a run
+        from instruction 0 returns, stamped with the caller's run index."""
         program = build["ferrum"].asm
-        golden = Machine(program).run()
+        machine = Machine(program)
+        golden = machine.run()
+        cursor = None
         for site in range(0, golden.fault_sites, 7):
             plan = FaultPlan(site, 0.5, 0.5)
-            plain = inject_asm_fault(program, plan, golden)
-            record = inject_asm_fault(program, plan, golden, telemetry=True,
-                                      run_index=site)
+            cursor = machine.run_to_site(site, resume_from=cursor)
+            record = inject_asm_fault(program, plan, golden, run_index=site)
+            resumed = inject_asm_fault(program, plan, golden, machine=machine,
+                                       resume_from=cursor, run_index=site)
             assert isinstance(record, FaultRecord)
-            assert record.outcome is plain
+            assert resumed == record
             assert record.run_index == site
             assert record.site_index == site
             if record.outcome is Outcome.DETECTED:
@@ -145,8 +149,8 @@ class TestInjectorTelemetry:
         program = build["ferrum"].asm
         golden = Machine(program).run()
         origins = {
-            inject_asm_fault(program, FaultPlan(site, 0.5, 0.5), golden,
-                             telemetry=True).origin
+            inject_asm_fault(program, FaultPlan(site, 0.5, 0.5),
+                             golden).origin
             for site in range(0, golden.fault_sites, 5)
         }
         # FERRUM binaries interleave app code with transform-inserted
@@ -156,25 +160,18 @@ class TestInjectorTelemetry:
 
 
 class TestCampaignTelemetry:
-    def test_counts_bit_identical_with_telemetry(self, build):
-        program = build["ferrum"].asm
-        plain = run_campaign(program, SAMPLES, seed=7)
-        traced = run_campaign(program, SAMPLES, seed=7, telemetry=True)
-        assert plain.outcomes.counts == traced.outcomes.counts
-        assert plain.records is None
-        assert len(traced.records) == SAMPLES
-        assert [r.run_index for r in traced.records] == list(range(SAMPLES))
+    def test_one_record_per_sample_in_run_order(self, build):
+        result = run_campaign(build["ferrum"].asm, SAMPLES, seed=7)
+        assert [r.run_index for r in result.records] == list(range(SAMPLES))
 
     def test_checkpoint_and_replay_records_identical(self, build):
         program = build["ferrum"].asm
-        checkpointed = run_campaign(program, SAMPLES, seed=7, telemetry=True)
-        replayed = run_campaign(program, SAMPLES, seed=7, telemetry=True,
-                                engine="replay")
+        checkpointed = run_campaign(program, SAMPLES, seed=7)
+        replayed = run_campaign(program, SAMPLES, seed=7, engine="replay")
         assert checkpointed.records == replayed.records
 
     def test_checkpoint_stats_populated(self, build):
-        result = run_campaign(build["ferrum"].asm, SAMPLES, seed=7,
-                              telemetry=True)
+        result = run_campaign(build["ferrum"].asm, SAMPLES, seed=7)
         stats = result.checkpoint_stats
         assert isinstance(stats, CheckpointStats)
         assert 0 < stats.snapshots <= SAMPLES
@@ -184,37 +181,32 @@ class TestCampaignTelemetry:
         assert "snapshots" in stats.summary()
 
     def test_replay_engine_has_no_checkpoint_stats(self, build):
-        result = run_campaign(build["ferrum"].asm, 10, seed=7,
-                              telemetry=True, engine="replay")
+        result = run_campaign(build["ferrum"].asm, 10, seed=7, engine="replay")
         assert result.checkpoint_stats is None
 
     def test_jsonl_stream_matches_memory(self, build, tmp_path):
         path = tmp_path / "campaign.jsonl"
         result = run_campaign(build["ferrum"].asm, SAMPLES, seed=7,
                               jsonl_path=path)
-        assert result.records is not None  # jsonl_path implies telemetry
         assert sorted(read_jsonl(path), key=lambda r: r.run_index) \
             == result.records
 
     def test_parallel_telemetry_identical(self, build):
         program = build["ferrum"].asm
-        sequential = run_campaign(program, SAMPLES, seed=7, telemetry=True)
-        parallel = run_campaign(program, SAMPLES, seed=7, telemetry=True,
-                                processes=2)
+        sequential = run_campaign(program, SAMPLES, seed=7)
+        parallel = run_campaign(program, SAMPLES, seed=7, processes=2)
         assert parallel.records == sequential.records
         assert parallel.outcomes.counts == sequential.outcomes.counts
 
     def test_detected_faults_have_latency(self, build):
-        result = run_campaign(build["ferrum"].asm, SAMPLES, seed=7,
-                              telemetry=True)
+        result = run_campaign(build["ferrum"].asm, SAMPLES, seed=7)
         detected = [r for r in result.records
                     if r.outcome is Outcome.DETECTED]
         assert detected
         assert all(r.detection_latency >= 1 for r in detected)
 
     def test_record_counts_rebuild_outcome_counts(self, build):
-        result = run_campaign(build["ferrum"].asm, SAMPLES, seed=7,
-                              telemetry=True)
+        result = run_campaign(build["ferrum"].asm, SAMPLES, seed=7)
         rebuilt = OutcomeCounts()
         for record in result.records:
             rebuilt.record(record.outcome)
@@ -224,9 +216,7 @@ class TestCampaignTelemetry:
 class TestIRCampaignTelemetry:
     def test_ir_records(self, build):
         module = build["ir-eddi"].ir
-        plain = run_ir_campaign(module, 30, seed=3)
-        traced = run_ir_campaign(module, 30, seed=3, telemetry=True)
-        assert plain.outcomes.counts == traced.outcomes.counts
+        traced = run_ir_campaign(module, 30, seed=3)
         assert len(traced.records) == 30
         assert all(r.level == "ir" for r in traced.records)
         assert all(r.register is None for r in traced.records)

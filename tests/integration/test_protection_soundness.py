@@ -38,8 +38,8 @@ def _sweep(program):
     for site in range(golden.fault_sites):
         for register_pick, bit_pick in PICKS:
             plan = FaultPlan(site, register_pick, bit_pick)
-            outcome = inject_asm_fault(program, plan, golden, machine=machine)
-            counts[outcome] += 1
+            record = inject_asm_fault(program, plan, golden, machine=machine)
+            counts[record.outcome] += 1
     return counts, golden.fault_sites
 
 
