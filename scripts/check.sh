@@ -45,14 +45,8 @@ fi
 
 echo "== tier-1 tests (reference execution engine) =="
 # Mirrors the CI tests-reference-engine job: the machine's reference
-# handler loop must give the same suite results as the translated engine.
+# handler loop must give the same suite results as the default fused engine.
 FERRUM_ENGINE=reference PYTHONPATH=src python -m pytest tests -q -m "not perf" \
-    || status=$?
-
-echo "== tier-1 tests (fused execution engine) =="
-# The superblock-fused engine must be invisible to the whole suite
-# (bit-identity contract; see docs/performance.md).
-FERRUM_ENGINE=fused PYTHONPATH=src python -m pytest tests -q -m "not perf" \
     || status=$?
 
 echo "== benchmark tests =="
@@ -97,7 +91,7 @@ PYTHONPATH=src python -m pytest benchmarks/test_service_chaos.py -q \
     || status=$?
 
 echo "== exec throughput smoke (advisory) =="
-# Translated-vs-reference engine gate (>= 3x instr/sec; see
+# Fused-vs-reference engine gate (>= 6x instr/sec; see
 # docs/performance.md). Advisory: reported but never fails this gate.
 PYTHONPATH=src python -m pytest benchmarks/test_exec_throughput.py -q \
     || echo "WARNING: exec throughput smoke failed (advisory only)"

@@ -133,13 +133,13 @@ def run_fig11(
     timing: TimingConfig | None = None,
     workloads: tuple[str, ...] | None = None,
     config: FerrumConfig | None = None,
-    repeats: int = 3,
+    repeats: int = 1,
 ) -> Fig11Result:
     """Measure runtime overhead under the cycle model for every benchmark.
 
     The paper averages three wall-clock executions; the cycle model is
-    deterministic, so ``repeats`` exists for protocol fidelity (and as a
-    consistency assertion) rather than noise reduction.
+    deterministic, so one run per variant is the default. ``repeats > 1``
+    re-times each variant on the same machine and asserts equal counts.
     """
     timing = timing or TimingConfig()
     result = Fig11Result()

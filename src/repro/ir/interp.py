@@ -13,7 +13,7 @@ Two roles:
 The interpreter reuses the machine's memory/builtin behaviour (same bump
 allocator, same LCG) so raw outputs agree between layers.
 
-Like the machine's translated engine (:mod:`repro.machine.translate`), the
+Like the machine's fused engine (:mod:`repro.machine.translate`), the
 interpreter pre-binds per instruction instead of re-resolving per dynamic
 step: each block lazily compiles into a list of step entries with constants
 folded, operand slots and successor blocks pre-resolved, opcode dispatch

@@ -45,10 +45,9 @@ from repro.utils.bitops import to_signed
 #: Return-address sentinel marking the bottom of the call stack.
 _SENTINEL = (1 << 64) - 1
 
-#: Supported execution engines: the pre-translated threaded-code engine, the
-#: superblock-fusing engine layered on top of it, and the reference
-#: interpreter kept as the semantic oracle.
-ENGINES = ("translated", "fused", "reference")
+#: Supported execution engines: the superblock-fused compiled engine and the
+#: reference interpreter kept as the semantic oracle.
+ENGINES = ("fused", "reference")
 
 #: Environment variable overriding the default engine (used when ``engine``
 #: is not passed explicitly; see ``docs/performance.md``).
@@ -124,22 +123,21 @@ class Machine:
     ) -> None:
         """Load ``program`` and pick an execution engine.
 
-        ``engine`` selects ``"translated"`` (pre-compiled threaded code, the
-        default), ``"fused"`` (superblocks compiled over the threaded code,
-        with dead-flag elision; see ``docs/performance.md``) or
-        ``"reference"`` (the per-instruction handler interpreter, kept as
-        the semantic oracle). When not passed explicitly, the
-        ``FERRUM_ENGINE`` environment variable is honored. All engines are
-        bit-identical in results, fault-site numbering, counters, snapshots
-        and telemetry; timing-model runs always execute on the reference
-        loop, which observes per-access memory traffic.
+        ``engine`` selects ``"fused"`` (the default: superblocks compiled
+        with dead-flag elision over per-instruction threaded-code steps; see
+        ``docs/performance.md``) or ``"reference"`` (the per-instruction
+        handler interpreter, kept as the semantic oracle). When not passed
+        explicitly, the ``FERRUM_ENGINE`` environment variable is honored.
+        Both engines are bit-identical in results, fault-site numbering,
+        counters, snapshots and telemetry; timing-model runs always execute
+        on the reference loop, which observes per-access memory traffic.
         """
         validate_program(program)
         self.program = program
         self.layout = layout or MemoryLayout()
         self.max_instructions = max_instructions
         if engine is None:
-            engine = os.environ.get(ENGINE_ENV_VAR, "").strip() or "translated"
+            engine = os.environ.get(ENGINE_ENV_VAR, "").strip() or "fused"
         if engine not in ENGINES:
             raise EngineConfigError(
                 f"unknown execution engine {engine!r} "
@@ -182,9 +180,7 @@ class Machine:
                     self._call_builtin_fn[pc] = get_builtin(target)
                 else:
                     self._call_entry_pc[pc] = self._entry[target]
-        # Threaded code, built lazily on the first translated-engine run;
-        # fused superblocks likewise on the first fused-engine run.
-        self._translation = None
+        # Fused superblocks, built lazily on the first fused-engine run.
         self._fused = None
 
         # Mutable per-run state, initialized by _reset().
@@ -198,9 +194,9 @@ class Machine:
         self._mem_reads: list[tuple[int, int]] = []
         self._mem_writes: list[tuple[int, int]] = []
         self._collect_mem = False
-        # Set by translated call/ret steps around work the reference engine
+        # Set by compiled call/ret steps around work the reference engine
         # performs after counting the instruction as executed; on a fault,
-        # the translated run loop uses it to keep halt counters identical.
+        # the fused run loop uses it to keep halt counters identical.
         self._post_exec = False
         # Telemetry bookkeeping (see repro.faultinjection.telemetry):
         # executed count at the most recent fault-hook delivery, and at the
@@ -227,7 +223,7 @@ class Machine:
     # -- execution -----------------------------------------------------------
 
     def _reset(self) -> None:
-        # In place: the translated engine's compiled steps capture the
+        # In place: the fused engine's compiled steps capture the
         # register-file dicts and memory object at translation time, so
         # their identity must survive across runs.
         self.registers.reset()
@@ -414,7 +410,7 @@ class Machine:
     ) -> tuple[int, int, int, bool]:
         """One dispatch onto the selected engine, with snapshot bookkeeping.
 
-        Generated translated/fused steps write the register dicts and
+        Generated fused steps write the register dicts and
         ``rflags`` directly, bypassing :meth:`RegisterFile.write` — so the
         copy-on-write snapshot cache is invalidated once per leg: whenever
         the leg advanced ``executed`` (a leg that executed nothing wrote
@@ -423,12 +419,7 @@ class Machine:
         loop, which observes per-access memory traffic.
         """
         try:
-            if self.engine == "translated" and timer is None:
-                out = self._run_translated(
-                    pc, executed, sites, budget, fault_hook, fault_at,
-                    stop_at_site,
-                )
-            elif self.engine == "fused" and timer is None:
+            if self.engine == "fused" and timer is None:
                 out = self._run_fused(
                     pc, executed, sites, budget, fault_hook, fault_at,
                     stop_at_site,
@@ -497,26 +488,6 @@ class Machine:
             cycles=None,
         )
 
-    def _run_translated(
-        self,
-        pc: int,
-        executed: int,
-        sites: int,
-        budget: int,
-        fault_hook: FaultHook | None,
-        fault_at: int,
-        stop_at_site: int | None,
-    ) -> tuple[int, int, int, bool]:
-        """Execute on the threaded-code engine (translating on first use)."""
-        from repro.machine.translate import execute_translated, translate_program
-
-        if self._translation is None:
-            self._translation = translate_program(self)
-        return execute_translated(
-            self, self._translation, pc, executed, sites, budget,
-            fault_hook, fault_at, stop_at_site,
-        )
-
     def _run_fused(
         self,
         pc: int,
@@ -532,7 +503,6 @@ class Machine:
 
         if self._fused is None:
             self._fused = translate_fused(self)
-            self._translation = self._fused.base
         return execute_fused(
             self, self._fused, pc, executed, sites, budget,
             fault_hook, fault_at, stop_at_site,

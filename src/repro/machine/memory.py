@@ -161,9 +161,9 @@ class Memory:
 
         Only pages actually written are cleared, so resetting between runs
         is O(working set) rather than O(address space). The segment
-        bytearrays keep their identity — the translated execution engine
-        captures this object (and its bound read/write methods) once at
-        translation time.
+        bytearrays keep their identity — the fused execution engine captures
+        this object (its bound read/write methods and segment buffers) once
+        at translation time.
         """
         for seg in self._segments:
             seg.reset()

@@ -39,9 +39,9 @@ class RegisterFile:
 
     The backing dicts (``_gprs``/``_vectors``) are identity-stable for the
     lifetime of the register file: :meth:`reset` and :meth:`restore_state`
-    mutate them in place rather than rebinding. The translated execution
-    engine (:mod:`repro.machine.translate`) relies on this — its compiled
-    steps capture the dicts once at translation time.
+    mutate them in place rather than rebinding. The fused execution engine
+    (:mod:`repro.machine.translate`) relies on this — its compiled steps
+    and superblocks capture the dicts once at translation time.
     """
 
     def __init__(self) -> None:
@@ -63,7 +63,7 @@ class RegisterFile:
     def note_direct_writes(self) -> None:
         """Invalidate the snapshot cache after writes that bypass this API.
 
-        The translated/fused execution engines write ``_gprs`` entries and
+        The fused execution engine writes ``_gprs`` entries and
         ``rflags`` directly from generated code; the machine calls this once
         per engine leg so copy-on-write snapshots never go stale.
         """

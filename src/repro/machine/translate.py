@@ -1,12 +1,15 @@
-"""Pre-translated threaded-code execution engine.
+"""The fused execution engine: threaded-code steps under fused superblocks.
 
 The reference interpreter (:meth:`repro.machine.cpu.Machine._execute_from`
 plus :mod:`repro.machine.semantics`) re-resolves every operand through
 isinstance chains and name-based register lookups, allocates control-effect
 objects for branches, and repacks flag tuples on every arithmetic
 instruction. FERRUM's own thesis — specialize at translation time, pay
-nothing at run time — applies to the simulator itself: this module compiles
-each :class:`~repro.asm.instructions.Instruction` *once* into a specialized
+nothing at run time — applies to the simulator itself. The engine is built
+in two layers.
+
+:func:`translate_program` compiles each
+:class:`~repro.asm.instructions.Instruction` *once* into a specialized
 zero-argument closure ("threaded code"):
 
 * register operands are resolved to direct slots in the register-file
@@ -28,30 +31,28 @@ per-instruction constants — register roots, immediates, displacements, pc
 targets — are bound as closure cells. A generated step therefore runs with
 no nested Python calls beyond the unavoidable memory accessors.
 
+:func:`translate_fused`/:func:`execute_fused` then concatenate the
+generated statement lists of whole basic blocks into single
+``exec``-compiled superblock bodies — flag computation elided where a
+block-local liveness pass proves the bits dead, memory accesses inlined
+through a segment-guessing fast path — and keep the per-instruction steps
+as the single-stepping path wherever a fault site, stop target or budget
+boundary must be observed mid-block, or a block could not be fused.
+
 Bit-identity contract: for any program, input, fault plan, snapshot or
-budget, the translated engine produces exactly the same ``RunResult``,
+budget, the fused engine produces exactly the same ``RunResult``,
 fault-site numbering, ``executed``/``sites`` counters, exception type and
 halt-counter stamps as the reference engine — including the *order* of
 operand reads, register updates and faulting accesses within one
 instruction. Instructions whose operand shapes fall outside the specialized
 fast paths (vector ops, deliberately malformed operands) fall back to a
 step that wraps the reference handler, so the two engines can never diverge
-semantically.
+semantically. See the fusion section below and ``docs/performance.md``.
 
 Closures capture the machine's register-file dict and memory accessors
 directly; :class:`~repro.machine.state.RegisterFile` and
 :class:`~repro.machine.memory.Memory` guarantee those objects are
 identity-stable across resets and snapshot restores.
-
-A second, faster layer builds on the per-instruction translation:
-:func:`translate_fused`/:func:`execute_fused` concatenate the generated
-statement lists of whole basic blocks into single ``exec``-compiled
-superblock bodies — flag computation elided where a block-local liveness
-pass proves the bits dead, memory accesses inlined through a
-segment-guessing fast path — while keeping the per-instruction steps as
-the single-stepping fallback wherever a fault site, stop target or budget
-boundary must be observed mid-block. The same bit-identity contract
-applies; see the fusion section below and ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def _zf_sf_pf_lines(result_var: str = "r", sgn: str = "SGN") -> list[str]:
 #
 # Every factory returns None when the operand shape falls outside its fast
 # path; the caller then uses the generic reference-handler step, so the
-# translated engine is total over the ISA by construction.
+# per-instruction steps are total over the ISA by construction.
 
 
 def _gen_mov(instr, width, nxt, env):
@@ -899,110 +900,10 @@ def translate_program(machine: "Machine") -> TranslatedCode:
     return TranslatedCode(steps, [1 if site else 0 for site in machine._is_site])
 
 
-# -- execution loops ---------------------------------------------------------
-
-
-def execute_translated(
-    machine: "Machine",
-    translation: TranslatedCode,
-    pc: int,
-    executed: int,
-    sites: int,
-    budget: int,
-    fault_hook,
-    fault_at: int,
-    stop_at_site: int | None,
-) -> tuple[int, int, int, bool]:
-    """Drive the compiled steps; same contract as ``Machine._execute_from``.
-
-    The no-hook/no-stop fast loop serves golden runs and fault-free suffix
-    execution; the general loop adds fault-site delivery and checkpoint
-    stops with exactly the reference engine's check ordering, counters and
-    halt-stamp semantics.
-
-    Because ``fault_hook`` and ``stop_at_site`` compose in one call (the
-    general loop checks stop, then bounds, then budget, exactly like the
-    reference engine), convergence early-exit needs no loop of its own:
-    ``Machine._run_converged`` chains plain legs of this function between
-    trail boundaries. Steps write ``_gprs``/``rflags`` behind the register
-    file's back, so callers that cache register snapshots must go through
-    ``Machine._engine_leg``, which invalidates the copy-on-write cache
-    after every leg that executed an instruction.
-    """
-    steps = translation.steps
-    site_flags = translation.site_flags
-    code_len = translation.code_len
-
-    if fault_hook is None and stop_at_site is None:
-        try:
-            if pc < 0 or pc >= code_len:
-                raise MachineFault(f"execution fell outside code at index {pc}")
-            while True:
-                if executed >= budget:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {budget} dynamic instructions"
-                    )
-                new_pc = steps[pc]()
-                executed += 1
-                sites += site_flags[pc]
-                if new_pc >= 0:
-                    pc = new_pc
-                    continue
-                if new_pc == _HALT:
-                    break
-                raise MachineFault(
-                    f"execution fell outside code at index {code_len}"
-                )
-        except MachineError:
-            if machine._post_exec:
-                machine._post_exec = False
-                executed += 1  # the faulting call/ret did execute
-            machine.halt_executed = executed
-            machine.halt_sites = sites
-            raise
-        return pc, executed, sites, False
-
-    code = machine._code
-    try:
-        while True:
-            # Check order mirrors the reference loop: stop, bounds, budget.
-            if stop_at_site is not None and sites >= stop_at_site:
-                return pc, executed, sites, True
-            if pc >= code_len or pc < 0:
-                raise MachineFault(f"execution fell outside code at index {pc}")
-            if executed >= budget:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {budget} dynamic instructions"
-                )
-            new_pc = steps[pc]()
-            executed += 1
-            if site_flags[pc]:
-                if fault_hook is not None and (fault_at < 0 or sites == fault_at):
-                    machine.executed_at_site = executed
-                    fault_hook(machine, code[pc], sites)
-                sites += 1
-            if new_pc >= 0:
-                pc = new_pc
-                continue
-            if new_pc == _HALT:
-                break
-            # Fell off the end: next iteration faults, after the stop check —
-            # matching the reference loop's check ordering.
-            pc = code_len
-    except MachineError:
-        if machine._post_exec:
-            machine._post_exec = False
-            executed += 1  # the faulting call/ret did execute
-        machine.halt_executed = executed
-        machine.halt_sites = sites
-        raise
-    return pc, executed, sites, False
-
-
 # -- superblock fusion --------------------------------------------------------
 #
-# The fused engine removes the remaining per-instruction cost of the
-# threaded-code engine: instead of one closure call, one counter update and
+# Fusion removes the remaining per-instruction cost of the threaded-code
+# steps: instead of one closure call, one counter update and
 # one loop iteration per instruction, each basic block / fall-through
 # superblock compiles to ONE exec'd body — straight-line statements
 # concatenated, with flag computation elided at interior instructions whose
@@ -1679,7 +1580,7 @@ def execute_fused(
     fault_at: int,
     stop_at_site: int | None,
 ) -> tuple[int, int, int, bool]:
-    """Drive fused superblocks; same contract as ``execute_translated``.
+    """Drive fused superblocks; same contract as ``Machine._execute_from``.
 
     A block runs fused only when nothing observable can happen inside it —
     the budget cannot expire mid-block, no ``stop_at_site`` boundary and no
@@ -1688,6 +1589,17 @@ def execute_fused(
     single-steps through the per-instruction translated steps, so counters,
     snapshots, hook delivery and fault-site numbering are bit-identical to
     the reference engine.
+
+    The no-hook/no-stop fast loop serves golden runs and fault-free suffix
+    execution; the general loop adds fault-site delivery and checkpoint
+    stops with exactly the reference engine's check ordering, counters and
+    halt-stamp semantics. Because ``fault_hook`` and ``stop_at_site``
+    compose in one call, convergence early-exit needs no loop of its own:
+    ``Machine._run_converged`` chains plain legs of this function between
+    trail boundaries. Steps write ``_gprs``/``rflags`` behind the register
+    file's back, so callers that cache register snapshots must go through
+    ``Machine._engine_leg``, which invalidates the copy-on-write cache
+    after every leg that executed an instruction.
     """
     base = fused.base
     steps = base.steps

@@ -128,9 +128,9 @@ class TestGeneratedProgramEngineEquivalence:
 
 
 class TestExecutionEngineEquivalence:
-    """The machine's translated execution engine (``FERRUM_ENGINE``) must be
+    """The machine's fused execution engine (``FERRUM_ENGINE``) must be
     invisible to campaigns: outcomes, fault-site populations, and fault
-    records are bit-identical whether machines run translated or through the
+    records are bit-identical whether machines run fused or through the
     reference handler loop — under both campaign engines."""
 
     @pytest.fixture(scope="class")
@@ -159,10 +159,10 @@ class TestExecutionEngineEquivalence:
             for campaign_engine in ("replay", "checkpoint"):
                 reference = self._campaign(monkeypatch, program, "reference",
                                            engine=campaign_engine)
-                translated = self._campaign(monkeypatch, program, "translated",
-                                            engine=campaign_engine)
+                fused = self._campaign(monkeypatch, program, "fused",
+                                       engine=campaign_engine)
                 assert_campaigns_identical(
-                    translated, reference,
+                    fused, reference,
                     context=f"{name}/{campaign_engine}")
 
     def test_checkpoint_vs_replay_on_reference_engine(self, corpus,

@@ -72,7 +72,7 @@ class TestComposedBitIdentity:
 
     @pytest.mark.parametrize("name", WORKLOADS)
     @pytest.mark.parametrize("machine_engine",
-                             ("translated", "fused", "reference"))
+                             ("fused", "reference"))
     def test_machine_engines_identical(self, built, flat, name,
                                        machine_engine, monkeypatch):
         monkeypatch.setenv("FERRUM_ENGINE", machine_engine)

@@ -3,7 +3,7 @@
 ``converge=True`` is pure execution strategy — for any fixed seed the
 outcome counts, FaultRecords, per-origin maps and JSONL bytes must be
 bit-identical to ``converge=False``, across machine engines (reference /
-translated / fused), campaign engines (checkpoint / replay), process
+fused), campaign engines (checkpoint / replay), process
 counts, static pruning, composition, the durable service, and detector
 variants (ferrum / hybrid / dme) on >= 3 workloads.
 """
@@ -73,7 +73,7 @@ class TestBitIdentity:
         assert_jsonl_identical(on_path, off_path)
 
     @pytest.mark.parametrize("machine_engine",
-                             ("reference", "translated", "fused"))
+                             ("reference", "fused"))
     def test_machine_engines(self, built, tmp_path, monkeypatch,
                              machine_engine):
         monkeypatch.setenv("FERRUM_ENGINE", machine_engine)

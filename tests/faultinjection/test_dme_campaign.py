@@ -104,7 +104,7 @@ class TestEngineParity:
         assert_campaigns_identical(parallel, flat["kmeans"])
 
     def test_machine_engines_agree(self, built, flat, monkeypatch):
-        for machine_engine in ("reference", "translated"):
+        for machine_engine in ("reference", "fused"):
             monkeypatch.setenv("FERRUM_ENGINE", machine_engine)
             campaign = run_campaign(built["kmeans"], samples=SAMPLES,
                                     seed=SEED)

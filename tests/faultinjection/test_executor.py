@@ -172,15 +172,18 @@ class TestArgumentsValidatedUpFront:
 
 
 class TestOnePassOneMachine:
-    """Every asm campaign path builds one machine and translates it once;
-    those with a cursor run one full fault-free pass before it moves."""
+    """Every asm campaign path builds one machine and compiles it once (one
+    per-instruction translation, one superblock fusion) on the default
+    engine; those with a cursor run one full fault-free pass before it
+    moves."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         from repro.machine import translate
         from repro.machine.cpu import Machine
 
-        monkeypatch.setenv("FERRUM_ENGINE", "translated")
+        # The default engine, whatever engine the environment selects.
+        monkeypatch.delenv("FERRUM_ENGINE", raising=False)
         counts = Counter()
 
         def count(owner, name, key):
@@ -198,6 +201,7 @@ class TestOnePassOneMachine:
 
         count(Machine, "__init__", "machines")
         count(translate, "translate_program", "translations")
+        count(translate, "translate_fused", "fusions")
         # A full fault-free pass is a trail pass or a run from program
         # entry; checkpointed injections resume from a cursor snapshot.
         count(campaign_mod, "record_trail", "passes")
@@ -207,8 +211,8 @@ class TestOnePassOneMachine:
 
     @staticmethod
     def _assert_one(counts):
-        assert counts == {"machines": 1, "translations": 1, "passes": 1,
-                          "passes_before_cursor": 1}
+        assert counts == {"machines": 1, "translations": 1, "fusions": 1,
+                          "passes": 1, "passes_before_cursor": 1}
 
     @pytest.mark.parametrize("converge", (False, True))
     def test_flat(self, program, counts, converge):
@@ -251,3 +255,4 @@ class TestOnePassOneMachine:
         run_multibit_campaign(program, samples=4, seed=SEED)
         assert counts["machines"] == 1
         assert counts["translations"] == 1
+        assert counts["fusions"] == 1

@@ -24,7 +24,7 @@ from repro.machine.state import RegisterFile
 from repro.pipeline import build_variants
 from repro.workloads import get_workload
 
-ENGINE_NAMES = ("reference", "translated", "fused")
+ENGINE_NAMES = ("reference", "fused")
 
 
 @pytest.fixture(scope="module")

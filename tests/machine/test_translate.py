@@ -1,15 +1,13 @@
-"""Translated engine vs reference handlers: bit-identity differential.
+"""Fused engine vs reference handlers: bit-identity differential.
 
-The pre-translation engine (:mod:`repro.machine.translate`) is pure
+The fused engine (:mod:`repro.machine.translate`: per-instruction
+threaded-code steps under superblocks with dead-flag elision) is pure
 execution strategy — for any program, the reference handler loop is the
-semantic oracle and the translated engine must be indistinguishable from
-it: same :class:`RunResult`, same fault-site numbering, same fault-hook
+semantic oracle and the fused engine must be indistinguishable from it:
+same :class:`RunResult`, same fault-site numbering, same fault-hook
 delivery (including ``executed_at_site``), same snapshots, and the same
 faults/detections with the same messages when a bit is flipped mid-run.
-
-The same contract covers the superblock-fused engine (``engine="fused"``),
-which additionally elides provably-dead flag computation inside blocks —
-every parity assertion here runs over all entries of ``ENGINES``.
+Every parity assertion here runs over all entries of ``ENGINES``.
 """
 
 import pytest
@@ -103,7 +101,7 @@ class TestFaultHookProtocol:
             machine.run(fault_hook=hook)
             traces[engine] = trace
         assert _all_equal(traces.values())
-        assert traces["translated"]  # the protocol actually fired
+        assert traces["fused"]  # the protocol actually fired
 
     def test_fault_at_delivers_single_site(self, fuzz_asm):
         program = fuzz_asm[FUZZ_SEEDS[1]]["raw"]
@@ -117,7 +115,7 @@ class TestFaultHookProtocol:
                 )
                 hits[engine] = sites
             assert _all_equal(hits.values())
-            assert hits["translated"] == [target]
+            assert hits["fused"] == [target]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_injected_flips_identical(self, fuzz_asm, variant):
@@ -162,11 +160,8 @@ class TestSnapshotIdentity:
         program = workload_asm[WORKLOAD_NAMES[1]]["raw"]
         golden = Machine(program).run()
         for snap_engine, resume_engine in (
-            ("reference", "translated"),
-            ("translated", "reference"),
             ("reference", "fused"),
             ("fused", "reference"),
-            ("fused", "translated"),
         ):
             snap = Machine(program, engine=snap_engine).run_to_site(150)
             resumed = Machine(program, engine=resume_engine).run(
@@ -188,30 +183,34 @@ class TestSnapshotIdentity:
 class TestEngineSelection:
     def test_invalid_engine_rejected(self, fuzz_asm):
         program = fuzz_asm[FUZZ_SEEDS[0]]["raw"]
-        with pytest.raises(MachineFault):
-            Machine(program, engine="warp")
+        # "translated" was a selectable engine once; a stale name must fail
+        # loudly rather than fall back to a default.
+        for engine in ("warp", "translated"):
+            with pytest.raises(MachineFault,
+                               match="choose from fused, reference"):
+                Machine(program, engine=engine)
 
     def test_env_var_selects_engine(self, fuzz_asm, monkeypatch):
         program = fuzz_asm[FUZZ_SEEDS[0]]["raw"]
         monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
         assert Machine(program).engine == "reference"
-        monkeypatch.setenv(ENGINE_ENV_VAR, "translated")
-        assert Machine(program).engine == "translated"
         monkeypatch.setenv(ENGINE_ENV_VAR, "fused")
         assert Machine(program).engine == "fused"
         monkeypatch.delenv(ENGINE_ENV_VAR)
-        assert Machine(program).engine == "translated"
+        assert Machine(program).engine == "fused"
 
     def test_invalid_env_engine_rejected(self, fuzz_asm, monkeypatch):
         program = fuzz_asm[FUZZ_SEEDS[0]]["raw"]
-        monkeypatch.setenv(ENGINE_ENV_VAR, "quantum")
-        with pytest.raises(MachineFault):
-            Machine(program)
+        for engine in ("quantum", "translated"):
+            monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+            with pytest.raises(MachineFault,
+                               match="choose from fused, reference"):
+                Machine(program)
 
     def test_explicit_engine_overrides_env(self, fuzz_asm, monkeypatch):
         program = fuzz_asm[FUZZ_SEEDS[0]]["raw"]
         monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-        assert Machine(program, engine="translated").engine == "translated"
+        assert Machine(program, engine="fused").engine == "fused"
 
 
 class TestTimingRuns:
