@@ -2,7 +2,8 @@
 
 The fused engine concatenates whole basic blocks into single exec-compiled
 bodies with dead-flag elision and inlined memory fast paths, over
-per-instruction threaded-code steps (see ``docs/performance.md``), and must
+one-instruction single steps from the same emitter (see
+``docs/performance.md``), and must
 beat the reference handler loop by >= 6x instructions/sec on at least two
 workloads.
 

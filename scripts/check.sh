@@ -55,9 +55,10 @@ echo "== benchmark tests =="
 python3 -m pytest perfbench/tests -q || status=$?
 
 echo "== traced benchmark passes (every required span fires) =="
-# Mirrors the CI perfbench job: a campaign refactor that stops calling a
-# probed function (golden run, trail pass, section trace) fails here.
-for workload in observe coverage; do
+# Mirrors the CI perfbench job: a refactor that stops calling a probed
+# function (golden run, trail pass, section trace, timed run, a compile
+# layer) fails here.
+for workload in observe coverage cycles compile; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
         --trace 1 >/dev/null || status=$?
 done

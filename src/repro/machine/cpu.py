@@ -124,10 +124,11 @@ class Machine:
         """Load ``program`` and pick an execution engine.
 
         ``engine`` selects ``"fused"`` (the default: superblocks compiled
-        with dead-flag elision over per-instruction threaded-code steps; see
-        ``docs/performance.md``) or ``"reference"`` (the per-instruction
-        handler interpreter, kept as the semantic oracle). When not passed
-        explicitly, the ``FERRUM_ENGINE`` environment variable is honored.
+        with dead-flag elision over one-instruction single steps, both from
+        one instruction emitter; see ``docs/performance.md``) or
+        ``"reference"`` (the per-instruction handler interpreter, kept as
+        the semantic oracle). When not passed explicitly, the
+        ``FERRUM_ENGINE`` environment variable is honored.
         Both engines are bit-identical in results, fault-site numbering,
         counters, snapshots and telemetry; timing-model runs always execute
         on the reference loop, which observes per-access memory traffic.

@@ -1,66 +1,75 @@
-"""The fused execution engine: threaded-code steps under fused superblocks.
+"""The fused execution engine: superblocks and single steps from one emitter.
 
 The reference interpreter (:meth:`repro.machine.cpu.Machine._execute_from`
 plus :mod:`repro.machine.semantics`) re-resolves every operand through
 isinstance chains and name-based register lookups, allocates control-effect
 objects for branches, and repacks flag tuples on every arithmetic
 instruction. FERRUM's own thesis — specialize at translation time, pay
-nothing at run time — applies to the simulator itself. The engine is built
-in two layers.
+nothing at run time — applies to the simulator itself.
 
-:func:`translate_program` compiles each
-:class:`~repro.asm.instructions.Instruction` *once* into a specialized
-zero-argument closure ("threaded code"):
+One emitter, :func:`_instr_lines`, renders an
+:class:`~repro.asm.instructions.Instruction`'s semantics as straight-line
+Python statements, specialized once per *static* instruction:
 
 * register operands are resolved to direct slots in the register-file
   backing dict, with sub-register masks folded into the generated code;
 * immediates are masked at translation time;
 * memory-operand effective-address arithmetic is pre-bound (displacement
-  folded, base/index roots captured);
-* jump/call/fall-through targets are integer pc constants — a taken branch
-  is ``return 17``, not a dict lookup;
+  folded, base/index roots captured), and every access goes through an
+  inlined fast path — a bounds check against a statically guessed segment
+  plus a struct codec over its backing bytearray — that falls back to the
+  memory accessors on a miss;
 * flag computation is specialized per opcode and width, with a precomputed
   parity table;
-* no per-instruction ``ControlEffect`` allocation: each step returns the
-  next pc directly (negative sentinels encode halt / fell-off-code).
+* jump and fall-through targets are integer pc constants — a taken branch
+  is ``return 17``, not a dict lookup — and no per-instruction
+  ``ControlEffect`` is allocated: each body returns the next pc directly
+  (negative sentinels encode halt / fell-off-code).
 
-The hot instruction kinds go through a small source-level code generator:
-one operand/opcode *shape* maps to one cached ``make`` function (built with
-:func:`compile`/``exec`` the first time the shape appears), and the
-per-instruction constants — register roots, immediates, displacements, pc
-targets — are bound as closure cells. A generated step therefore runs with
-no nested Python calls beyond the unavoidable memory accessors.
+The rendered text depends only on the instruction's operand/opcode
+*shape*; per-instruction constants — register roots, immediates,
+displacements, pc targets — and the machine's live state are bound as
+closure cells, and one cached ``make`` function per distinct body (built
+with :func:`compile`/``exec`` the first time it appears) serves every
+instruction sharing it.
 
-:func:`translate_fused`/:func:`execute_fused` then concatenate the
-generated statement lists of whole basic blocks into single
-``exec``-compiled superblock bodies — flag computation elided where a
-block-local liveness pass proves the bits dead, memory accesses inlined
-through a segment-guessing fast path — and keep the per-instruction steps
-as the single-stepping path wherever a fault site, stop target or budget
-boundary must be observed mid-block, or a block could not be fused.
+:func:`translate_program` builds one step per instruction: its
+one-instruction body followed by ``return NXT`` (a ``jcc`` ends in the same
+conditional return a superblock uses). ``idiv``, ``call``, ``ret`` and
+``jmp`` keep small hand-written closures, and shapes the emitter does not
+cover (vector ops, deliberately malformed operands) wrap the reference
+handler. :func:`translate_fused` concatenates the bodies of whole basic
+blocks into single superblock bodies, eliding flag computation where a
+block-local liveness pass proves the bits dead, and :func:`execute_fused`
+single-steps wherever a fault site, stop target or budget boundary must be
+observed mid-block.
 
 Bit-identity contract: for any program, input, fault plan, snapshot or
 budget, the fused engine produces exactly the same ``RunResult``,
 fault-site numbering, ``executed``/``sites`` counters, exception type and
 halt-counter stamps as the reference engine — including the *order* of
 operand reads, register updates and faulting accesses within one
-instruction. Instructions whose operand shapes fall outside the specialized
-fast paths (vector ops, deliberately malformed operands) fall back to a
-step that wraps the reference handler, so the two engines can never diverge
-semantically. See the fusion section below and ``docs/performance.md``.
+instruction. See the fusion section below and ``docs/performance.md``.
 
-Closures capture the machine's register-file dict and memory accessors
-directly; :class:`~repro.machine.state.RegisterFile` and
+Closures capture the machine's register-file dict, memory accessors and
+segment buffers directly; :class:`~repro.machine.state.RegisterFile` and
 :class:`~repro.machine.memory.Memory` guarantee those objects are
 identity-stable across resets and snapshot restores.
 """
 
 from __future__ import annotations
 
+import re
 import struct as _struct
 from typing import TYPE_CHECKING, Callable
 
 from repro.asm.instructions import InstrKind
+from repro.asm.liveness import (
+    ALL_FLAG_BITS,
+    _shift_count,
+    flag_bits_read,
+    flag_bits_written,
+)
 from repro.asm.operands import Imm, Mem, Operand, Reg
 from repro.asm.registers import Register, RegisterKind
 from repro.errors import (
@@ -104,14 +113,20 @@ Step = Callable[[], int]
 
 
 class TranslatedCode:
-    """The compiled program: one step closure per code index."""
+    """The compiled program: one step closure per code index.
 
-    __slots__ = ("steps", "site_flags", "code_len")
+    ``emitted[pc]`` records whether :func:`_instr_lines` rendered the
+    instruction at ``pc``, i.e. whether it may sit inside a superblock.
+    """
 
-    def __init__(self, steps: list[Step], site_flags: list[int]) -> None:
+    __slots__ = ("steps", "site_flags", "code_len", "emitted")
+
+    def __init__(self, steps: list[Step], site_flags: list[int],
+                 emitted: list[bool]) -> None:
         self.steps = steps
         self.site_flags = site_flags
         self.code_len = len(steps)
+        self.emitted = emitted
 
 
 # -- code generation core ----------------------------------------------------
@@ -128,8 +143,8 @@ _EXEC_GLOBALS = {
     "_CZ": _CZ,
     "_CFOF": _CFOF,
     "_M64": _M64,
-    # Little-endian fixed-width codecs for the fused engine's inlined
-    # memory fast path (one C call instead of segment lookup + slicing).
+    # Little-endian fixed-width codecs for the inlined memory fast path
+    # (one C call instead of segment lookup + slicing).
     "_U1": _struct.Struct("<B").unpack_from,
     "_U2": _struct.Struct("<H").unpack_from,
     "_U4": _struct.Struct("<I").unpack_from,
@@ -140,39 +155,45 @@ _EXEC_GLOBALS = {
     "_P8": _struct.Struct("<Q").pack_into,
 }
 
-#: shape source -> compiled ``make`` function (shared across programs).
+#: step body text -> compiled ``make`` function (shared across programs).
 _MAKE_CACHE: dict[str, Callable[[dict], Step]] = {}
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 def _build_step(body: list[str], env: dict) -> Step:
-    """Compile ``body`` lines into a step, binding ``env`` as closure cells.
+    """Compile ``body`` lines into a step, binding ``env`` names as cells.
 
-    The rendered source depends only on the instruction *shape* (operand
-    kinds, widths, opcode), so the compile cost is amortized across every
-    instruction sharing that shape; per-instruction values (register roots,
-    immediates, displacements, pc targets) and the machine's live state
-    objects flow in through ``env`` and become closure cells — the fastest
-    variable access a generated step can have.
+    The body text depends only on the instruction *shape* (operand kinds,
+    widths, opcode), so the compile cost is amortized across every
+    instruction or block sharing that text; per-instruction values
+    (register roots, immediates, displacements, pc targets) and the
+    machine's live state objects flow in through ``env`` and become closure
+    cells — the fastest variable access a generated step can have. Only the
+    ``env`` names the body mentions are bound, so a step that never touches
+    a memory segment carries no cells for it.
     """
-    lines = ["def make(env):"]
-    for key in sorted(env):
-        lines.append(f"    {key} = env[{key!r}]")
-    lines.append("    def step():")
-    for line in body:
-        lines.append("        " + line)
-    lines.append("    return step")
-    source = "\n".join(lines)
-    make = _MAKE_CACHE.get(source)
+    text = "\n        ".join(body)
+    make = _MAKE_CACHE.get(text)
     if make is None:
+        lines = ["def make(env):"]
+        for key in sorted(env.keys() & set(_NAME.findall(text))):
+            lines.append(f"    {key} = env[{key!r}]")
+        lines.append("    def step():")
+        lines.append("        " + text)
+        lines.append("    return step")
         scope = dict(_EXEC_GLOBALS)
-        exec(compile(source, "<ferrum-translate>", "exec"), scope)
-        make = scope["make"]
-        _MAKE_CACHE[source] = make
+        exec(compile("\n".join(lines), "<ferrum-translate>", "exec"), scope)
+        make = _MAKE_CACHE[text] = scope["make"]
     return make(env)
 
 
 def _is_gpr64(reg: Register | None) -> bool:
     return reg is not None and reg.kind is RegisterKind.GPR and reg.width == 64
+
+
+def _is_vector_op(op: Operand) -> bool:
+    return isinstance(op, Reg) and op.register.kind is RegisterKind.VECTOR
 
 
 def _addr_frag(mem: Mem, idx: int, env: dict) -> str | None:
@@ -197,76 +218,7 @@ def _addr_frag(mem: Mem, idx: int, env: dict) -> str | None:
         else:
             env[f"S{idx}"] = mem.scale
             parts.append(f"g[X{idx}] * S{idx}")
-    return "((" + " + ".join(parts) + ") & M64)"
-
-
-def _read_frag(op: Operand, width: int, idx: int, env: dict) -> str | None:
-    """Value expression matching ``semantics._read_operand``.
-
-    Register operands read at *register* width (the reference rule); the
-    produced value is bounded by ``max(width, reg.width)`` bits. Callers
-    that need the value bounded to ``width`` must reject wider register
-    operands (see :func:`_read_bounded` and the factories' guards).
-    """
-    if isinstance(op, Imm):
-        env[f"A{idx}"] = op.value & mask_for_width(width)
-        return f"A{idx}"
-    if isinstance(op, Reg):
-        reg = op.register
-        if reg.kind is not RegisterKind.GPR:
-            return None
-        env[f"R{idx}"] = reg.root
-        if reg.width == 64:
-            return f"g[R{idx}]"
-        env[f"RM{idx}"] = mask_for_width(reg.width)
-        return f"(g[R{idx}] & RM{idx})"
-    if isinstance(op, Mem):
-        addr = _addr_frag(op, idx, env)
-        if addr is None:
-            return None
-        env[f"N{idx}"] = width // 8
-        return f"rd({addr}, N{idx})"
-    return None
-
-
-def _read_bounded(op: Operand, width: int, idx: int, env: dict) -> str | None:
-    """Like :func:`_read_frag` but only for values bounded to ``width``."""
-    if isinstance(op, Reg) and op.register.width > width:
-        return None
-    return _read_frag(op, width, idx, env)
-
-
-def _write_frag(
-    op: Operand, width: int, idx: int, env: dict
-) -> Callable[[str], str] | None:
-    """Statement builder matching ``semantics._write_operand``.
-
-    The value expression passed in must be bounded to ``width`` bits.
-    """
-    if isinstance(op, Reg):
-        reg = op.register
-        if reg.kind is not RegisterKind.GPR:
-            return None
-        env[f"R{idx}"] = reg.root
-        rw = reg.width
-        if rw >= 32:
-            if width > rw:  # e.g. a 64-bit value into a 32-bit view
-                env[f"WM{idx}"] = mask_for_width(rw)
-                return lambda v: f"g[R{idx}] = ({v}) & WM{idx}"
-            # 32-bit writes zero-extend, 64-bit writes replace: plain store.
-            return lambda v: f"g[R{idx}] = {v}"
-        env[f"K{idx}"] = _M64 ^ mask_for_width(rw)
-        if width > rw:
-            env[f"WM{idx}"] = mask_for_width(rw)
-            return lambda v: f"g[R{idx}] = (g[R{idx}] & K{idx}) | (({v}) & WM{idx})"
-        return lambda v: f"g[R{idx}] = (g[R{idx}] & K{idx}) | ({v})"
-    if isinstance(op, Mem):
-        addr = _addr_frag(op, idx, env)
-        if addr is None:
-            return None
-        env[f"N{idx}"] = width // 8
-        return lambda v: f"wr({addr}, {v}, N{idx})"
-    return None
+    return "((" + " + ".join(parts) + ") & _M64)"
 
 
 #: Condition-code truthiness expressions over ``f`` (an RFLAGS value);
@@ -287,13 +239,11 @@ _CC_EXPR = {
 }
 
 
-def _zf_sf_pf_lines(result_var: str = "r", sgn: str = "SGN") -> list[str]:
+def _zf_sf_pf_lines(result_var: str, sgn: str) -> list[str]:
     """The ZF/SF/PF epilogue shared by every flag-writing template.
 
-    One fragment serves both emitters: the per-instruction step factories
-    bind the sign-bit constant as the ``SGN`` closure cell, while the
-    superblock fusion emitter passes it as a hex literal (``sgn``) so one
-    fused body can mix widths without closure-cell name collisions.
+    The sign bit comes in as a hex literal (``sgn``), so one superblock
+    body can mix widths without closure-cell name collisions.
     """
     return [
         f"f = _PARITY[{result_var} & 0xFF]",
@@ -304,55 +254,125 @@ def _zf_sf_pf_lines(result_var: str = "r", sgn: str = "SGN") -> list[str]:
     ]
 
 
-# -- per-kind step factories -------------------------------------------------
+# -- the instruction emitter --------------------------------------------------
 #
-# Every factory returns None when the operand shape falls outside its fast
-# path; the caller then uses the generic reference-handler step, so the
-# per-instruction steps are total over the ISA by construction.
+# Every emitter returns the statements for one instruction, or None when the
+# operand shape falls outside its fast path; such an instruction then runs
+# as a reference-handler step, so the steps are total over the ISA by
+# construction. ``j`` is the instruction's index inside its body (operand
+# slots ``2 * j`` and ``2 * j + 1`` keep closure-cell and local names
+# distinct when a superblock concatenates several instructions), and
+# ``elide`` drops flag computation that the block's liveness pass proved
+# dead (always False for a single step).
 
 
-def _gen_mov(instr, width, nxt, env):
-    src, dst = instr.operands
-    read = _read_bounded(src, width, 0, env)
-    write = _write_frag(dst, width, 1, env)
-    if read is None or write is None:
-        return None
-    env["NXT"] = nxt
-    return _build_step([write(read), "return NXT"], env)
+def _seg_guess(mem: Mem) -> int:
+    """Index into ``Memory._segments`` of the likeliest segment for ``mem``.
+
+    ``rbp``/``rsp``-based addressing is stack traffic, absolute addresses
+    are globals, everything else is pointer-chasing into the heap. A wrong
+    guess only costs speed — the generated fast path re-checks bounds and
+    falls back to the accessor — never correctness.
+    """
+    base = mem.base
+    if base is not None and base.root in ("rbp", "rsp"):
+        return 0  # stack
+    if base is None and mem.index is None:
+        return 2  # globals
+    return 1  # heap
 
 
-def _gen_movext(instr, nxt, env):
-    spec = instr.spec
-    src, dst = instr.operands
-    read = _read_bounded(src, spec.src_width, 0, env)
-    write = _write_frag(dst, spec.width, 1, env)
-    if read is None or write is None:
-        return None
-    env["NXT"] = nxt
-    if instr.mnemonic.startswith("movz"):
-        return _build_step([write(read), "return NXT"], env)
-    env["SSGN"] = 1 << (spec.src_width - 1)
-    env["EXT"] = mask_for_width(spec.width) ^ mask_for_width(spec.src_width)
-    body = [
-        f"v = {read}",
-        "if v & SSGN:",
-        "    v |= EXT",
-        write("v"),
-        "return NXT",
+def _read_op(op, width, idx, env, bounded=False):
+    """``(lines, value_expr)`` reading ``op``; ``(None, None)`` if unsupported.
+
+    Matches ``semantics._read_operand``. Register and immediate operands
+    read as a pure expression with no lines. Registers read at *register*
+    width (the reference rule), so the value is bounded by
+    ``max(width, reg.width)`` bits; ``bounded`` rejects wider registers
+    for callers that need it bounded to ``width`` (the ALU-like emitters
+    reject width mismatches themselves). Memory operands emit the inlined
+    fast path — a bounds check against the statically-guessed segment plus
+    a struct codec over its backing bytearray — falling back to ``rd``
+    (which also owns the SegmentationFault) on a miss; the value lands in
+    ``v{idx}``.
+    """
+    if isinstance(op, Imm):
+        env[f"A{idx}"] = op.value & mask_for_width(width)
+        return [], f"A{idx}"
+    if isinstance(op, Reg):
+        reg = op.register
+        if reg.kind is not RegisterKind.GPR or (bounded and reg.width > width):
+            return None, None
+        env[f"R{idx}"] = reg.root
+        if reg.width == 64:
+            return [], f"g[R{idx}]"
+        env[f"RM{idx}"] = mask_for_width(reg.width)
+        return [], f"(g[R{idx}] & RM{idx})"
+    if not isinstance(op, Mem) or width not in (8, 16, 32, 64):
+        return None, None
+    addr = _addr_frag(op, idx, env)
+    if addr is None:
+        return None, None
+    n = width // 8
+    k = _seg_guess(op)
+    lines = [
+        f"a{idx} = {addr}",
+        f"if SEGB{k} <= a{idx} and a{idx} + {n} <= SEGE{k}:",
+        f"    v{idx} = _U{n}(SEGD{k}, a{idx} - SEGB{k})[0]",
+        "else:",
+        f"    v{idx} = rd(a{idx}, {n})",
     ]
-    return _build_step(body, env)
+    return lines, f"v{idx}"
 
 
-def _gen_lea(instr, nxt, env):
-    src, dst = instr.operands
-    if not isinstance(src, Mem):
-        return None  # reference handler raises IllegalInstructionError
-    addr = _addr_frag(src, 0, env)
-    write = _write_frag(dst, 64, 1, env)
-    if addr is None or write is None:
+def _write_op(op, width, idx, env, expr, have_addr=False):
+    """Statements writing ``expr`` (bounded to ``width``) into ``op``.
+
+    Matches ``semantics._write_operand``. Memory destinations get the
+    inlined fast path (struct codec plus the reference's dirty-page
+    bookkeeping), falling back to ``wr`` on a bounds miss. ``have_addr``
+    reuses the ``a{idx}`` computed by this operand's read — sound only when
+    no register feeding the address was written in between, which holds
+    for every read-modify-write template here because the destination
+    operand itself is the only write.
+    """
+    if isinstance(op, Reg):
+        reg = op.register
+        if reg.kind is not RegisterKind.GPR:
+            return None
+        env[f"R{idx}"] = reg.root
+        rw = reg.width
+        if width > rw:  # e.g. a 64-bit value into a 32-bit view
+            env[f"WM{idx}"] = mask_for_width(rw)
+            expr = f"({expr}) & WM{idx}"
+        if rw >= 32:
+            # 32-bit writes zero-extend, 64-bit writes replace: plain store.
+            return [f"g[R{idx}] = {expr}"]
+        env[f"K{idx}"] = _M64 ^ mask_for_width(rw)
+        return [f"g[R{idx}] = (g[R{idx}] & K{idx}) | ({expr})"]
+    if not isinstance(op, Mem) or width not in (8, 16, 32, 64):
         return None
-    env["NXT"] = nxt
-    return _build_step([write(addr), "return NXT"], env)
+    n = width // 8
+    k = _seg_guess(op)
+    lines = []
+    if not have_addr:
+        addr = _addr_frag(op, idx, env)
+        if addr is None:
+            return None
+        lines.append(f"a{idx} = {addr}")
+    if not expr.isidentifier():
+        lines.append(f"w{idx} = {expr}")
+        expr = f"w{idx}"
+    lines.extend((
+        f"if SEGB{k} <= a{idx} and a{idx} + {n} <= SEGE{k}:",
+        f"    o{idx} = a{idx} - SEGB{k}",
+        f"    _P{n}(SEGD{k}, o{idx}, {expr})",
+        f"    SEGA{k}(o{idx} >> 12)",
+    ))
+    if n > 1:
+        lines.append(f"    SEGA{k}((o{idx} + {n - 1}) >> 12)")
+    lines.extend(("else:", f"    wr(a{idx}, {expr}, {n})"))
+    return lines
 
 
 def _alu_guard(src, dst, width) -> bool:
@@ -364,352 +384,386 @@ def _alu_guard(src, dst, width) -> bool:
     return True
 
 
-def _gen_alu(instr, width, nxt, env):
+def _emit_mov(instr, width, j, env):
+    src, dst = instr.operands
+    if _is_vector_op(src) or _is_vector_op(dst):
+        return None
+    la, ea = _read_op(src, width, 2 * j, env, bounded=True)
+    if la is None:
+        return None
+    lw = _write_op(dst, width, 2 * j + 1, env, ea)
+    if lw is None:
+        return None
+    return [*la, *lw]
+
+
+def _emit_movext(instr, j, env):
+    spec = instr.spec
+    src, dst = instr.operands
+    la, ea = _read_op(src, spec.src_width, 2 * j, env, bounded=True)
+    if la is None:
+        return None
+    if instr.mnemonic.startswith("movz"):
+        lw = _write_op(dst, spec.width, 2 * j + 1, env, ea)
+        if lw is None:
+            return None
+        return [*la, *lw]
+    ssgn = hex(1 << (spec.src_width - 1))
+    ext = hex(mask_for_width(spec.width) ^ mask_for_width(spec.src_width))
+    lw = _write_op(dst, spec.width, 2 * j + 1, env, "v")
+    if lw is None:
+        return None
+    return [*la, f"v = {ea}", f"if v & {ssgn}:", f"    v |= {ext}", *lw]
+
+
+def _emit_lea(instr, j, env):
+    src, dst = instr.operands
+    if not isinstance(src, Mem):
+        return None  # reference handler raises IllegalInstructionError
+    addr = _addr_frag(src, 2 * j, env)
+    if addr is None:
+        return None
+    return _write_op(dst, 64, 2 * j + 1, env, addr)
+
+
+def _emit_alu(instr, width, j, env, elide):
     src, dst = instr.operands
     if not _alu_guard(src, dst, width):
         return None
-    read_a = _read_frag(src, width, 0, env)
-    read_b = _read_frag(dst, width, 1, env)
-    write = _write_frag(dst, width, 1, env)
-    if read_a is None or read_b is None or write is None:
+    la, ea = _read_op(src, width, 2 * j, env)
+    lb, eb = _read_op(dst, width, 2 * j + 1, env)
+    if la is None or lb is None:
         return None
-    env["NXT"] = nxt
-    env["M"] = mask_for_width(width)
-    env["SGN"] = 1 << (width - 1)
+
+    def write(expr):
+        return _write_op(dst, width, 2 * j + 1, env, expr,
+                         have_addr=isinstance(dst, Mem))
+
+    m = hex(mask_for_width(width))
+    sgn = hex(1 << (width - 1))
     root = instr.mnemonic[:-1]
+    pre = [*la, f"a = {ea}", *lb, f"b = {eb}"]  # src read first, as in the reference
+    wr_r = write("r")
+    if wr_r is None:
+        return None
 
     if root == "add":
-        body = [
-            f"a = {read_a}",
-            f"b = {read_b}",
+        if elide:
+            return [*pre, *write(f"(a + b) & {m}")]
+        return [
+            *pre,
             "full = a + b",
-            "r = full & M",
-            *_zf_sf_pf_lines(),
-            "if full > M:",
+            f"r = full & {m}",
+            *_zf_sf_pf_lines("r", sgn),
+            f"if full > {m}:",
             "    f |= _CF",
-            "if not ((a ^ b) & SGN) and ((a ^ r) & SGN):",
+            f"if not ((a ^ b) & {sgn}) and ((a ^ r) & {sgn}):",
             "    f |= _OF",
             "R.rflags = f",
-            write("r"),
-            "return NXT",
+            *wr_r,
         ]
-    elif root == "sub":
-        body = [
-            f"a = {read_a}",
-            f"b = {read_b}",
-            "r = (b - a) & M",
-            *_zf_sf_pf_lines(),
+    if root == "sub":
+        if elide:
+            return [*pre, *write(f"(b - a) & {m}")]
+        return [
+            *pre,
+            f"r = (b - a) & {m}",
+            *_zf_sf_pf_lines("r", sgn),
             "if b < a:",
             "    f |= _CF",
-            "if ((b ^ a) & SGN) and ((b ^ r) & SGN):",
+            f"if ((b ^ a) & {sgn}) and ((b ^ r) & {sgn}):",
             "    f |= _OF",
             "R.rflags = f",
-            write("r"),
-            "return NXT",
+            *wr_r,
         ]
-    elif root == "imul":
-        env["MD"] = mask_for_width(width) + 1
+    if root == "imul":
+        md = hex(mask_for_width(width) + 1)
         body = [
-            f"a = {read_a}",
-            f"b = {read_b}",
-            "if a & SGN:",
-            "    a -= MD",
-            "if b & SGN:",
-            "    b -= MD",
+            *pre,
+            f"if a & {sgn}:",
+            f"    a -= {md}",
+            f"if b & {sgn}:",
+            f"    b -= {md}",
             "full = a * b",
-            "r = full & M",
-            *_zf_sf_pf_lines(),
-            "if (r - MD if r & SGN else r) != full:",
+            f"r = full & {m}",
+        ]
+        if elide:
+            return [*body, *wr_r]
+        return [
+            *body,
+            *_zf_sf_pf_lines("r", sgn),
+            f"if (r - {md} if r & {sgn} else r) != full:",
             "    f |= _CFOF",
             "R.rflags = f",
-            write("r"),
-            "return NXT",
+            *wr_r,
         ]
-    elif root in ("and", "or", "xor"):
+    if root in ("and", "or", "xor"):
         sym = {"and": "&", "or": "|", "xor": "^"}[root]
-        body = [
-            f"a = {read_a}",  # src read first, as in the reference
-            f"r = {read_b} {sym} a",
-            *_zf_sf_pf_lines(),
-            "R.rflags = f",
-            write("r"),
-            "return NXT",
-        ]
-    else:  # pragma: no cover - spec table guarantees the roots above
-        return None
-    return _build_step(body, env)
+        body = [*pre, f"r = b {sym} a"]
+        if elide:
+            return [*body, *wr_r]
+        return [*body, *_zf_sf_pf_lines("r", sgn), "R.rflags = f", *wr_r]
+    return None  # pragma: no cover - spec table guarantees the roots above
 
 
-def _gen_cmp(instr, width, nxt, env):
+def _emit_cmp_test(instr, width, j, env, elide):
     src, dst = instr.operands
     if not _alu_guard(src, dst, width):
         return None
-    read_a = _read_frag(src, width, 0, env)
-    read_b = _read_frag(dst, width, 1, env)
-    if read_a is None or read_b is None:
+    la, ea = _read_op(src, width, 2 * j, env)
+    lb, eb = _read_op(dst, width, 2 * j + 1, env)
+    if la is None or lb is None:
         return None
-    env["NXT"] = nxt
-    env["M"] = mask_for_width(width)
-    env["SGN"] = 1 << (width - 1)
-    body = [
-        f"a = {read_a}",
-        f"b = {read_b}",
-        "r = (b - a) & M",
-        *_zf_sf_pf_lines(),
+    if elide:
+        # Flags are dead: keep only the (possibly faulting) memory reads,
+        # in the reference's src-then-dst order.
+        return [*la, *lb]
+    sgn = hex(1 << (width - 1))
+    if instr.kind is InstrKind.TEST:
+        return [*la, f"a = {ea}", *lb, f"r = {eb} & a",
+                *_zf_sf_pf_lines("r", sgn), "R.rflags = f"]
+    m = hex(mask_for_width(width))
+    return [
+        *la,
+        f"a = {ea}",
+        *lb,
+        f"b = {eb}",
+        f"r = (b - a) & {m}",
+        *_zf_sf_pf_lines("r", sgn),
         "if b < a:",
         "    f |= _CF",
-        "if ((b ^ a) & SGN) and ((b ^ r) & SGN):",
+        f"if ((b ^ a) & {sgn}) and ((b ^ r) & {sgn}):",
         "    f |= _OF",
         "R.rflags = f",
-        "return NXT",
     ]
-    return _build_step(body, env)
 
 
-def _gen_test(instr, width, nxt, env):
-    src, dst = instr.operands
-    if not _alu_guard(src, dst, width):
-        return None
-    read_a = _read_frag(src, width, 0, env)
-    read_b = _read_frag(dst, width, 1, env)
-    if read_a is None or read_b is None:
-        return None
-    env["NXT"] = nxt
-    env["SGN"] = 1 << (width - 1)
-    body = [
-        f"a = {read_a}",  # src read first, as in the reference
-        f"r = {read_b} & a",
-        *_zf_sf_pf_lines(),
-        "R.rflags = f",
-        "return NXT",
-    ]
-    return _build_step(body, env)
-
-
-def _gen_shift(instr, width, nxt, env):
+def _emit_shift(instr, width, j, env, elide):
     src, dst = instr.operands
     if isinstance(dst, Reg) and dst.register.width != width:
         return None
-    read_v = _read_frag(dst, width, 1, env)
-    write = _write_frag(dst, width, 1, env)
-    if read_v is None or write is None:
+    lv, ev = _read_op(dst, width, 2 * j + 1, env)
+    if lv is None:
+        return None
+    wr_r = _write_op(dst, width, 2 * j + 1, env, "r",
+                     have_addr=isinstance(dst, Mem))
+    if wr_r is None:
         return None
     count_mask = 63 if width == 64 else 31
     op = instr.mnemonic[:3]
-    env["NXT"] = nxt
+    m = hex(mask_for_width(width))
+    sgn = hex(1 << (width - 1))
+    md = hex(mask_for_width(width) + 1)
 
     if isinstance(src, Imm):
         count = src.value & count_mask
         if count == 0:
             # Flags and value unaffected — but the reference still performs
             # the operand read (a memory operand can segfault); mirror it.
-            if isinstance(dst, Mem):
-                return _build_step([read_v, "return NXT"], env)
-            return _build_step(["return NXT"], env)
-        env["M"] = mask_for_width(width)
-        env["SGN"] = 1 << (width - 1)
-        env["CNT"] = count
+            return lv if isinstance(dst, Mem) else []
         if op == "shl":
-            env["SH"] = width - count
-            calc = ["r = (v << CNT) & M", "cf = (v >> SH) & 1"]
+            calc = [f"r = (v << {count}) & {m}",
+                    f"cf = (v >> {width - count}) & 1"]
         elif op == "shr":
-            env["SH"] = count - 1
-            calc = ["r = v >> CNT", "cf = (v >> SH) & 1"]
+            calc = [f"r = v >> {count}", f"cf = (v >> {count - 1}) & 1"]
         else:  # sar
-            env["SH"] = count - 1
-            env["MD"] = mask_for_width(width) + 1
-            calc = [
-                "r = ((v - MD if v & SGN else v) >> CNT) & M",
-                "cf = (v >> SH) & 1",
-            ]
-        body = [
-            f"v = {read_v}",
-            *calc,
-            *_zf_sf_pf_lines(),
-            "if cf:",
-            "    f |= _CF",
-            "R.rflags = f",
-            write("r"),
-            "return NXT",
-        ]
-        return _build_step(body, env)
+            calc = [f"r = ((v - {md} if v & {sgn} else v) >> {count}) & {m}",
+                    f"cf = (v >> {count - 1}) & 1"]
+        if elide:
+            return [*lv, f"v = {ev}", calc[0], *wr_r]
+        return [*lv, f"v = {ev}", *calc, *_zf_sf_pf_lines("r", sgn),
+                "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
 
     if not (isinstance(src, Reg) and src.register.root == "rcx"):
         return None  # reference handler raises IllegalInstructionError
-    env["M"] = mask_for_width(width)
-    env["SGN"] = 1 << (width - 1)
-    env["CM"] = count_mask
-    env["W"] = width
     if op == "shl":
-        calc = ["r = (v << c) & M", "cf = (v >> (W - c)) & 1"]
+        calc = [f"r = (v << c) & {m}", f"cf = (v >> ({width} - c)) & 1"]
     elif op == "shr":
         calc = ["r = v >> c", "cf = (v >> (c - 1)) & 1"]
     else:  # sar
-        env["MD"] = mask_for_width(width) + 1
-        calc = [
-            "r = ((v - MD if v & SGN else v) >> c) & M",
-            "cf = (v >> (c - 1)) & 1",
-        ]
-    body = [
-        'c = g["rcx"] & CM',
-        f"v = {read_v}",  # read precedes the count-0 check (reference order)
-        "if c == 0:",
-        "    return NXT",
-        *calc,
-        *_zf_sf_pf_lines(),
-        "if cf:",
-        "    f |= _CF",
-        "R.rflags = f",
-        write("r"),
-        "return NXT",
+        calc = [f"r = ((v - {md} if v & {sgn} else v) >> c) & {m}",
+                "cf = (v >> (c - 1)) & 1"]
+    if elide:
+        inner = [calc[0], *wr_r]
+    else:
+        inner = [*calc, *_zf_sf_pf_lines("r", sgn),
+                 "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
+    return [
+        f'c = g["rcx"] & {count_mask}',
+        *lv,  # read precedes the count-0 check (reference order)
+        f"v = {ev}",
+        "if c:",
+        *["    " + line for line in inner],
     ]
-    return _build_step(body, env)
 
 
-def _gen_unary(instr, width, nxt, env):
+def _emit_unary(instr, width, j, env, elide):
     (dst,) = instr.operands
     if isinstance(dst, Reg) and dst.register.width != width:
         return None
-    read_v = _read_frag(dst, width, 1, env)
-    write = _write_frag(dst, width, 1, env)
-    if read_v is None or write is None:
+    lv, ev = _read_op(dst, width, 2 * j + 1, env)
+    if lv is None:
         return None
-    env["NXT"] = nxt
-    env["M"] = mask_for_width(width)
+
+    def write(expr):
+        return _write_op(dst, width, 2 * j + 1, env, expr,
+                         have_addr=isinstance(dst, Mem))
+
+    wr_r = write("r")
+    if wr_r is None:
+        return None
+    m = hex(mask_for_width(width))
+    sgn = hex(1 << (width - 1))
     op = instr.mnemonic[:3]
 
     if op == "not":
-        body = [f"v = {read_v}", write("~v & M"), "return NXT"]
-        return _build_step(body, env)
-
-    env["SGN"] = 1 << (width - 1)
+        return [*lv, f"v = {ev}", *write(f"~v & {m}")]
     if op == "neg":
-        body = [
-            f"v = {read_v}",
-            "r = (-v) & M",
-            *_zf_sf_pf_lines(),
+        if elide:
+            return [*lv, f"v = {ev}", *write(f"(-v) & {m}")]
+        return [
+            *lv,
+            f"v = {ev}",
+            f"r = (-v) & {m}",
+            *_zf_sf_pf_lines("r", sgn),
             "if v:",
             "    f |= _CF",
-            "if v & SGN and r & SGN:",
+            f"if v & {sgn} and r & {sgn}:",
             "    f |= _OF",
             "R.rflags = f",
-            write("r"),
-            "return NXT",
+            *wr_r,
         ]
-    elif op == "inc":
-        body = [
-            f"v = {read_v}",
-            "r = (v + 1) & M",
-            *_zf_sf_pf_lines(),
-            "if not v & SGN and r & SGN:",
-            "    f |= _OF",
-            "R.rflags = f | (R.rflags & _CF)",  # inc preserves CF
-            write("r"),
-            "return NXT",
-        ]
-    else:  # dec
-        body = [
-            f"v = {read_v}",
-            "r = (v - 1) & M",
-            *_zf_sf_pf_lines(),
-            "if v & SGN and not r & SGN:",
-            "    f |= _OF",
-            "R.rflags = f | (R.rflags & _CF)",  # dec preserves CF
-            write("r"),
-            "return NXT",
-        ]
-    return _build_step(body, env)
-
-
-def _gen_setcc(instr, nxt, env):
-    (dst,) = instr.operands
-    cond = _CC_EXPR.get(instr.spec.cc or "")
-    write = _write_frag(dst, 8, 1, env)
-    if cond is None or write is None:
-        return None
-    env["NXT"] = nxt
-    body = [
-        "f = R.rflags",
-        f"v = 1 if {cond} else 0",
-        write("v"),
-        "return NXT",
+    delta = "+ 1" if op == "inc" else "- 1"
+    if elide:
+        return [*lv, f"v = {ev}", *write(f"(v {delta}) & {m}")]
+    of_cond = (f"if not v & {sgn} and r & {sgn}:" if op == "inc"
+               else f"if v & {sgn} and not r & {sgn}:")
+    return [
+        *lv,
+        f"v = {ev}",
+        f"r = (v {delta}) & {m}",
+        *_zf_sf_pf_lines("r", sgn),
+        of_cond,
+        "    f |= _OF",
+        "R.rflags = f | (R.rflags & _CF)",  # inc/dec preserve CF
+        *wr_r,
     ]
-    return _build_step(body, env)
 
 
-def _gen_jcc(instr, target_pc, nxt, env):
+def _emit_setcc(instr, j, env):
+    (dst,) = instr.operands
     cond = _CC_EXPR.get(instr.spec.cc or "")
     if cond is None:
         return None
-    env["NXT"] = nxt
-    env["TGT"] = target_pc
-    return _build_step(["f = R.rflags", f"return TGT if {cond} else NXT"], env)
-
-
-def _gen_push(instr, nxt, env):
-    (src,) = instr.operands
-    read = _read_frag(src, 64, 0, env)
-    if read is None:
+    lw = _write_op(dst, 8, 2 * j + 1, env, "v")
+    if lw is None:
         return None
-    env["NXT"] = nxt
-    body = [
-        f"v = {read}",
+    return ["f = R.rflags", f"v = 1 if {cond} else 0", *lw]
+
+
+def _emit_convert(instr):
+    if instr.mnemonic == "cltq":
+        return [
+            'v = g["rax"] & 0xffffffff',
+            "if v & 0x80000000:",
+            "    v |= 0xffffffff00000000",
+            'g["rax"] = v',
+        ]
+    if instr.mnemonic == "cltd":
+        return ['g["rdx"] = 0xffffffff if g["rax"] & 0x80000000 else 0']
+    return ['g["rdx"] = 0xffffffffffffffff if g["rax"] >> 63 else 0']  # cqto
+
+
+def _emit_push(instr, j, env):
+    (src,) = instr.operands
+    lv, ev = _read_op(src, 64, 2 * j, env)
+    if lv is None:
+        return None
+    return [
+        *lv,
+        f"v = {ev}",
         'rsp = g["rsp"] - 8',  # unmasked, as the reference passes it on
         'g["rsp"] = rsp & _M64',
-        "wr(rsp, v, 8)",
-        "return NXT",
+        "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
+        "    o = rsp - SEGB0",
+        "    _P8(SEGD0, o, v)",
+        "    SEGA0(o >> 12)",
+        "    SEGA0((o + 7) >> 12)",
+        "else:",
+        "    wr(rsp, v, 8)",
     ]
-    return _build_step(body, env)
 
 
-def _gen_pop(instr, nxt, env):
+def _emit_pop(instr, j, env):
     (dst,) = instr.operands
-    write = _write_frag(dst, 64, 1, env)
-    if write is None:
+    lw = _write_op(dst, 64, 2 * j + 1, env, "v")
+    if lw is None:
         return None
-    env["NXT"] = nxt
-    body = [
+    return [
         'rsp = g["rsp"]',
-        "v = rd(rsp, 8)",
+        "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
+        "    v = _U8(SEGD0, rsp - SEGB0)[0]",
+        "else:",
+        "    v = rd(rsp, 8)",
         'g["rsp"] = (rsp + 8) & _M64',
-        write("v"),
-        "return NXT",
+        *lw,
     ]
-    return _build_step(body, env)
 
 
-# -- closure-based step factories (rare kinds) -------------------------------
+def _instr_lines(instr, j, env, elide) -> list[str] | None:
+    """Body statements for one instruction (``None`` = not emitted).
+
+    The one place instruction semantics are rendered: a single step is
+    these lines plus ``return NXT``, a superblock their concatenation.
+    """
+    kind = instr.kind
+    width = instr.spec.width
+    if kind is InstrKind.MOV:
+        return _emit_mov(instr, width, j, env)
+    if kind is InstrKind.MOVEXT:
+        return _emit_movext(instr, j, env)
+    if kind is InstrKind.LEA:
+        return _emit_lea(instr, j, env)
+    if kind is InstrKind.ALU:
+        return _emit_alu(instr, width, j, env, elide)
+    if kind in (InstrKind.CMP, InstrKind.TEST):
+        return _emit_cmp_test(instr, width, j, env, elide)
+    if kind is InstrKind.SHIFT:
+        return _emit_shift(instr, width, j, env, elide)
+    if kind is InstrKind.UNARY:
+        return _emit_unary(instr, width, j, env, elide)
+    if kind is InstrKind.SETCC:
+        return _emit_setcc(instr, j, env)
+    if kind is InstrKind.CONVERT:
+        return _emit_convert(instr)
+    if kind is InstrKind.PUSH:
+        return _emit_push(instr, j, env)
+    if kind is InstrKind.POP:
+        return _emit_pop(instr, j, env)
+    if kind is InstrKind.NOP:
+        return []
+    return None
 
 
-def _steps_convert(instr, nxt, gprs):
-    if instr.mnemonic == "cltq":
-        def step() -> int:
-            value = gprs["rax"] & _M32
-            if value & 0x8000_0000:
-                value |= 0xFFFF_FFFF_0000_0000
-            gprs["rax"] = value
-            return nxt
-        return step
-    if instr.mnemonic == "cltd":
-        def step() -> int:
-            gprs["rdx"] = _M32 if gprs["rax"] & 0x8000_0000 else 0
-            return nxt
-        return step
+def _jcc_lines(instr) -> list[str] | None:
+    """The conditional-branch terminator over ``TGT``/``NXT`` cells."""
+    cond = _CC_EXPR.get(instr.spec.cc or "")
+    if cond is None:
+        return None
+    return ["f = R.rflags", f"return TGT if {cond} else NXT"]
 
-    def step() -> int:  # cqto
-        gprs["rdx"] = _M64 if gprs["rax"] >> 63 else 0
-        return nxt
-    return step
+
+# -- closure steps (rare kinds) ----------------------------------------------
 
 
 def _steps_idiv(instr, width, nxt, gprs, env):
     (src,) = instr.operands
     if isinstance(src, Reg) and src.register.width != width:
         return None
-    read = _read_frag(src, width, 0, env)
-    if read is None:
+    lines, read = _read_op(src, width, 0, env)
+    if lines is None:
         return None
-    read_divisor = _build_step([f"return {read}"], env)
+    read_divisor = _build_step([*lines, f"return {read}"], env)
     mask = mask_for_width(width)
     sign = 1 << (width - 1)
     modulus = mask + 1
@@ -819,104 +873,96 @@ def _steps_generic(machine, instr, nxt, target_pc):
     return step
 
 
-def _is_vector_op(op: Operand) -> bool:
-    return isinstance(op, Reg) and op.register.kind is RegisterKind.VECTOR
-
-
 # -- program translation -----------------------------------------------------
+
+
+def _base_env(machine: "Machine") -> dict:
+    """Live state an emitted body may bind as closure cells.
+
+    The register file, the memory accessors and, for the inlined memory
+    fast path, each segment's start, end, backing bytearray and dirty-set
+    ``add``. All are identity-stable across resets and snapshot restores
+    (see :mod:`repro.machine.memory`), so capturing them at translation
+    time is safe. :func:`_build_step` binds only the names a body uses.
+    """
+    registers = machine.registers
+    memory = machine.memory
+    env = {
+        "g": registers._gprs,
+        "R": registers,
+        "rd": memory.read_uint,
+        "wr": memory.write_uint,
+    }
+    for k, seg in enumerate(memory._segments):
+        env[f"SEGB{k}"] = seg.start
+        env[f"SEGE{k}"] = seg.start + len(seg.data)
+        env[f"SEGD{k}"] = seg.data
+        env[f"SEGA{k}"] = seg.dirty.add
+    return env
 
 
 def translate_program(machine: "Machine") -> TranslatedCode:
     """Compile every instruction of ``machine``'s program into a step."""
-    registers = machine.registers
-    gprs = registers._gprs
+    gprs = machine.registers._gprs
     memory = machine.memory
-    # Live state bound into every generated step. RegisterFile and Memory
-    # keep these objects identity-stable across reset/restore.
-    base_env = {
-        "g": gprs,
-        "R": registers,
-        "rd": memory.read_uint,
-        "wr": memory.write_uint,
-        "M64": _M64,
-    }
+    base_env = _base_env(machine)
     code = machine._code
     code_len = len(code)
     steps: list[Step] = []
+    emitted: list[bool] = []
 
     for pc, instr in enumerate(code):
         nxt = pc + 1 if pc + 1 < code_len else _FELL_OFF
         kind = instr.kind
-        width = instr.spec.width
         env = dict(base_env)
+        env["NXT"] = nxt
+        lines = _instr_lines(instr, 0, env, False)
+        emitted.append(lines is not None)
         step: Step | None = None
 
-        if kind is InstrKind.MOV:
-            src, dst = instr.operands
-            if not (_is_vector_op(src) or _is_vector_op(dst)):
-                step = _gen_mov(instr, width, nxt, env)
-        elif kind is InstrKind.MOVEXT:
-            step = _gen_movext(instr, nxt, env)
-        elif kind is InstrKind.LEA:
-            step = _gen_lea(instr, nxt, env)
-        elif kind is InstrKind.ALU:
-            step = _gen_alu(instr, width, nxt, env)
-        elif kind is InstrKind.SHIFT:
-            step = _gen_shift(instr, width, nxt, env)
-        elif kind is InstrKind.UNARY:
-            step = _gen_unary(instr, width, nxt, env)
-        elif kind is InstrKind.CMP:
-            step = _gen_cmp(instr, width, nxt, env)
-        elif kind is InstrKind.TEST:
-            step = _gen_test(instr, width, nxt, env)
-        elif kind is InstrKind.SETCC:
-            step = _gen_setcc(instr, nxt, env)
-        elif kind is InstrKind.PUSH:
-            step = _gen_push(instr, nxt, env)
-        elif kind is InstrKind.POP:
-            step = _gen_pop(instr, nxt, env)
-        elif kind is InstrKind.CONVERT:
-            step = _steps_convert(instr, nxt, gprs)
+        if lines is not None:
+            step = _build_step([*lines, "return NXT"], env)
+        elif kind is InstrKind.JCC:
+            lines = _jcc_lines(instr)
+            if lines is not None:
+                env["TGT"] = machine._jump_pc[pc]
+                step = _build_step(lines, env)
         elif kind is InstrKind.IDIV:
-            step = _steps_idiv(instr, width, nxt, gprs, env)
+            step = _steps_idiv(instr, instr.spec.width, nxt, gprs, env)
         elif kind is InstrKind.JMP:
             def step(_t=machine._jump_pc[pc]) -> int:
                 return _t
-        elif kind is InstrKind.JCC:
-            step = _gen_jcc(instr, machine._jump_pc[pc], nxt, env)
         elif kind is InstrKind.CALL:
             step = _steps_call(machine, pc, nxt, machine._call_entry_pc[pc],
                                machine._call_builtin_fn[pc], gprs, memory)
         elif kind is InstrKind.RET:
             step = _steps_ret(machine, gprs, memory, code_len)
-        elif kind is InstrKind.NOP:
-            def step(_n=nxt) -> int:
-                return _n
 
         if step is None:
             step = _steps_generic(machine, instr, nxt, machine._jump_pc[pc])
         steps.append(step)
 
-    return TranslatedCode(steps, [1 if site else 0 for site in machine._is_site])
+    site_flags = [1 if site else 0 for site in machine._is_site]
+    return TranslatedCode(steps, site_flags, emitted)
 
 
 # -- superblock fusion --------------------------------------------------------
 #
-# Fusion removes the remaining per-instruction cost of the threaded-code
-# steps: instead of one closure call, one counter update and
-# one loop iteration per instruction, each basic block / fall-through
-# superblock compiles to ONE exec'd body — straight-line statements
-# concatenated, with flag computation elided at interior instructions whose
-# flags are provably dead (per-bit backward liveness over
-# ``asm.liveness.flag_bits_read``/``flag_bits_written``, conservatively ALL
-# bits live at every block exit, so the architectural RFLAGS value at any
-# block boundary is always exact).
+# Fusion removes the remaining per-instruction cost of single steps: instead
+# of one closure call, one counter update and one loop iteration per
+# instruction, each basic block / fall-through superblock compiles to ONE
+# exec'd body — the emitter's statements concatenated, with flag computation
+# elided at interior instructions whose flags are provably dead (per-bit
+# backward liveness over ``asm.liveness.flag_bits_read``/
+# ``flag_bits_written``, conservatively ALL bits live at every block exit,
+# so the architectural RFLAGS value at any block boundary is always exact).
 #
 # Bit-identity is preserved by construction:
 #
-# * blocks are cut at calls, returns, ``idiv`` and any shape outside the
-#   fast paths — those instructions execute through the per-instruction
-#   translated steps, which the fused code object retains in full;
+# * blocks are cut at every instruction the emitter did not render (calls,
+#   returns, ``idiv``, vector ops, malformed shapes) — those execute through
+#   their single steps, which the fused code object retains in full, as it
+#   does every other instruction's;
 # * a block only runs fused when no observable event can occur inside it:
 #   the instruction budget cannot expire mid-block, no ``stop_at_site``
 #   boundary and no pending fault-site hook falls inside it — otherwise the
@@ -925,26 +971,12 @@ def translate_program(machine: "Machine") -> TranslatedCode:
 # * fused bodies with faultable statements (memory operands, push/pop)
 #   stamp their intra-block progress (instructions and sites completed)
 #   into a shared cell before each such statement, so ``halt_executed`` /
-#   ``halt_sites`` stay exact when a segfault aborts a fused block.
-
-from repro.asm.liveness import (  # noqa: E402  (fusion-only dependency)
-    ALL_FLAG_BITS,
-    _shift_count,
-    flag_bits_read,
-    flag_bits_written,
-)
-
-#: Kinds the fusion emitter can place inside a superblock body.
-_FUSABLE_KINDS = frozenset({
-    InstrKind.MOV, InstrKind.MOVEXT, InstrKind.LEA, InstrKind.ALU,
-    InstrKind.SHIFT, InstrKind.UNARY, InstrKind.CMP, InstrKind.TEST,
-    InstrKind.SETCC, InstrKind.PUSH, InstrKind.POP, InstrKind.CONVERT,
-    InstrKind.NOP,
-})
+#   ``halt_sites`` stay exact when a segfault aborts a fused block. A
+#   single step needs no stamp: a fault in it means zero progress.
 
 
 class FusedCode:
-    """Fused superblocks over a :class:`TranslatedCode` fallback layer."""
+    """Fused superblocks over a :class:`TranslatedCode` single-step layer."""
 
     __slots__ = ("base", "fused_steps", "fused_len", "fused_sites", "progress")
 
@@ -960,461 +992,12 @@ class FusedCode:
 
 
 def _can_fault(instr) -> bool:
-    """Whether a fused statement for ``instr`` can raise a MachineError."""
+    """Whether an emitted statement for ``instr`` can raise a MachineError."""
     if instr.kind in (InstrKind.PUSH, InstrKind.POP):
         return True
     if instr.kind is InstrKind.LEA:
         return False  # address arithmetic only, no access
     return any(isinstance(op, Mem) for op in instr.operands)
-
-
-def _seg_guess(mem: Mem) -> int:
-    """Index into ``Memory._segments`` of the likeliest segment for ``mem``.
-
-    ``rbp``/``rsp``-based addressing is stack traffic, absolute addresses
-    are globals, everything else is pointer-chasing into the heap. A wrong
-    guess only costs speed — the generated fast path re-checks bounds and
-    falls back to the accessor — never correctness.
-    """
-    base = mem.base
-    if base is not None and base.root in ("rbp", "rsp"):
-        return 0  # stack
-    if base is None and mem.index is None:
-        return 2  # globals
-    return 1  # heap
-
-
-def _fread(op, width, idx, env, bounded=False):
-    """``(lines, value_expr)`` reading ``op``; ``(None, None)`` if unfusable.
-
-    Register and immediate operands read as a pure expression with no
-    lines (the :func:`_read_frag` rules, including the register-width
-    bounding caveat). Memory operands emit the fused engine's inlined fast
-    path — a bounds check against the statically-guessed segment plus a
-    struct codec over its backing bytearray — falling back to ``rd`` (which
-    also owns the SegmentationFault) on a miss; the value lands in
-    ``v{idx}``.
-    """
-    if isinstance(op, Mem):
-        if width not in (8, 16, 32, 64):
-            return None, None
-        addr = _addr_frag(op, idx, env)
-        if addr is None:
-            return None, None
-        n = width // 8
-        k = _seg_guess(op)
-        lines = [
-            f"a{idx} = {addr}",
-            f"if SEGB{k} <= a{idx} and a{idx} + {n} <= SEGE{k}:",
-            f"    v{idx} = _U{n}(SEGD{k}, a{idx} - SEGB{k})[0]",
-            "else:",
-            f"    v{idx} = rd(a{idx}, {n})",
-        ]
-        return lines, f"v{idx}"
-    expr = (_read_bounded if bounded else _read_frag)(op, width, idx, env)
-    if expr is None:
-        return None, None
-    return [], expr
-
-
-def _fwrite(op, width, idx, env, expr, have_addr=False):
-    """Statements writing ``expr`` (bounded to ``width``) into ``op``.
-
-    Memory destinations get the inlined fast path (struct codec plus the
-    reference's dirty-page bookkeeping), falling back to ``wr`` on a
-    bounds miss. ``have_addr`` reuses the ``a{idx}`` computed by this
-    operand's read — sound only when no register feeding the address was
-    written in between, which holds for every read-modify-write template
-    here because the destination operand itself is the only write.
-    """
-    if isinstance(op, Mem):
-        if width not in (8, 16, 32, 64):
-            return None
-        n = width // 8
-        k = _seg_guess(op)
-        lines = []
-        if not have_addr:
-            addr = _addr_frag(op, idx, env)
-            if addr is None:
-                return None
-            lines.append(f"a{idx} = {addr}")
-        if not expr.isidentifier():
-            lines.append(f"w{idx} = {expr}")
-            expr = f"w{idx}"
-        lines.extend((
-            f"if SEGB{k} <= a{idx} and a{idx} + {n} <= SEGE{k}:",
-            f"    o{idx} = a{idx} - SEGB{k}",
-            f"    _P{n}(SEGD{k}, o{idx}, {expr})",
-            f"    SEGA{k}(o{idx} >> 12)",
-        ))
-        if n > 1:
-            lines.append(f"    SEGA{k}((o{idx} + {n - 1}) >> 12)")
-        lines.extend(("else:", f"    wr(a{idx}, {expr}, {n})"))
-        return lines
-    write = _write_frag(op, width, idx, env)
-    if write is None:
-        return None
-    return [write(expr)]
-
-
-def _fuse_mov(instr, width, j, env):
-    src, dst = instr.operands
-    if _is_vector_op(src) or _is_vector_op(dst):
-        return None
-    la, ea = _fread(src, width, 2 * j, env, bounded=True)
-    if la is None:
-        return None
-    lw = _fwrite(dst, width, 2 * j + 1, env, ea)
-    if lw is None:
-        return None
-    return [*la, *lw]
-
-
-def _fuse_movext(instr, j, env):
-    spec = instr.spec
-    src, dst = instr.operands
-    la, ea = _fread(src, spec.src_width, 2 * j, env, bounded=True)
-    if la is None:
-        return None
-    if instr.mnemonic.startswith("movz"):
-        lw = _fwrite(dst, spec.width, 2 * j + 1, env, ea)
-        if lw is None:
-            return None
-        return [*la, *lw]
-    ssgn = hex(1 << (spec.src_width - 1))
-    ext = hex(mask_for_width(spec.width) ^ mask_for_width(spec.src_width))
-    lw = _fwrite(dst, spec.width, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
-    return [*la, f"v = {ea}", f"if v & {ssgn}:", f"    v |= {ext}", *lw]
-
-
-def _fuse_lea(instr, j, env):
-    src, dst = instr.operands
-    if not isinstance(src, Mem):
-        return None
-    addr = _addr_frag(src, 2 * j, env)
-    if addr is None:
-        return None
-    lw = _fwrite(dst, 64, 2 * j + 1, env, addr)
-    if lw is None:
-        return None
-    return lw
-
-
-def _fuse_alu(instr, width, j, env, elide):
-    src, dst = instr.operands
-    if not _alu_guard(src, dst, width):
-        return None
-    la, ea = _fread(src, width, 2 * j, env)
-    lb, eb = _fread(dst, width, 2 * j + 1, env)
-    if la is None or lb is None:
-        return None
-
-    def write(expr):
-        return _fwrite(dst, width, 2 * j + 1, env, expr,
-                       have_addr=isinstance(dst, Mem))
-
-    m = hex(mask_for_width(width))
-    sgn = hex(1 << (width - 1))
-    root = instr.mnemonic[:-1]
-    pre = [*la, f"a = {ea}", *lb, f"b = {eb}"]
-    wr_r = write("r")
-    if wr_r is None:
-        return None
-
-    if root == "add":
-        if elide:
-            return [*pre, *write(f"(a + b) & {m}")]
-        return [
-            *pre,
-            "full = a + b",
-            f"r = full & {m}",
-            *_zf_sf_pf_lines("r", sgn=sgn),
-            f"if full > {m}:",
-            "    f |= _CF",
-            f"if not ((a ^ b) & {sgn}) and ((a ^ r) & {sgn}):",
-            "    f |= _OF",
-            "R.rflags = f",
-            *wr_r,
-        ]
-    if root == "sub":
-        if elide:
-            return [*pre, *write(f"(b - a) & {m}")]
-        return [
-            *pre,
-            f"r = (b - a) & {m}",
-            *_zf_sf_pf_lines("r", sgn=sgn),
-            "if b < a:",
-            "    f |= _CF",
-            f"if ((b ^ a) & {sgn}) and ((b ^ r) & {sgn}):",
-            "    f |= _OF",
-            "R.rflags = f",
-            *wr_r,
-        ]
-    if root == "imul":
-        md = hex(mask_for_width(width) + 1)
-        body = [
-            *pre,
-            f"if a & {sgn}:",
-            f"    a -= {md}",
-            f"if b & {sgn}:",
-            f"    b -= {md}",
-            "full = a * b",
-            f"r = full & {m}",
-        ]
-        if elide:
-            return [*body, *wr_r]
-        return [
-            *body,
-            *_zf_sf_pf_lines("r", sgn=sgn),
-            f"if (r - {md} if r & {sgn} else r) != full:",
-            "    f |= _CFOF",
-            "R.rflags = f",
-            *wr_r,
-        ]
-    if root in ("and", "or", "xor"):
-        sym = {"and": "&", "or": "|", "xor": "^"}[root]
-        body = [*pre, f"r = b {sym} a"]
-        if elide:
-            return [*body, *wr_r]
-        return [*body, *_zf_sf_pf_lines("r", sgn=sgn), "R.rflags = f",
-                *wr_r]
-    return None  # pragma: no cover - spec table guarantees the roots above
-
-
-def _fuse_cmp_test(instr, width, j, env, elide):
-    src, dst = instr.operands
-    if not _alu_guard(src, dst, width):
-        return None
-    la, ea = _fread(src, width, 2 * j, env)
-    lb, eb = _fread(dst, width, 2 * j + 1, env)
-    if la is None or lb is None:
-        return None
-    if elide:
-        # Flags are dead: keep only the (possibly faulting) memory reads,
-        # in the reference's src-then-dst order.
-        return [*la, *lb]
-    sgn = hex(1 << (width - 1))
-    if instr.kind is InstrKind.TEST:
-        return [*la, f"a = {ea}", *lb, f"r = {eb} & a",
-                *_zf_sf_pf_lines("r", sgn=sgn), "R.rflags = f"]
-    m = hex(mask_for_width(width))
-    return [
-        *la,
-        f"a = {ea}",
-        *lb,
-        f"b = {eb}",
-        f"r = (b - a) & {m}",
-        *_zf_sf_pf_lines("r", sgn=sgn),
-        "if b < a:",
-        "    f |= _CF",
-        f"if ((b ^ a) & {sgn}) and ((b ^ r) & {sgn}):",
-        "    f |= _OF",
-        "R.rflags = f",
-    ]
-
-
-def _fuse_shift(instr, width, j, env, elide):
-    src, dst = instr.operands
-    if isinstance(dst, Reg) and dst.register.width != width:
-        return None
-    lv, ev = _fread(dst, width, 2 * j + 1, env)
-    if lv is None:
-        return None
-    wr_r = _fwrite(dst, width, 2 * j + 1, env, "r",
-                   have_addr=isinstance(dst, Mem))
-    if wr_r is None:
-        return None
-    count_mask = 63 if width == 64 else 31
-    op = instr.mnemonic[:3]
-    m = hex(mask_for_width(width))
-    sgn = hex(1 << (width - 1))
-    md = hex(mask_for_width(width) + 1)
-
-    if isinstance(src, Imm):
-        count = src.value & count_mask
-        if count == 0:
-            # Flags and value unaffected; mirror the reference's read.
-            return lv if isinstance(dst, Mem) else []
-        if op == "shl":
-            calc = [f"r = (v << {count}) & {m}",
-                    f"cf = (v >> {width - count}) & 1"]
-        elif op == "shr":
-            calc = [f"r = v >> {count}", f"cf = (v >> {count - 1}) & 1"]
-        else:  # sar
-            calc = [f"r = ((v - {md} if v & {sgn} else v) >> {count}) & {m}",
-                    f"cf = (v >> {count - 1}) & 1"]
-        if elide:
-            return [*lv, f"v = {ev}", calc[0], *wr_r]
-        return [*lv, f"v = {ev}", *calc, *_zf_sf_pf_lines("r", sgn=sgn),
-                "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
-
-    if not (isinstance(src, Reg) and src.register.root == "rcx"):
-        return None
-    if op == "shl":
-        calc = [f"r = (v << c) & {m}", f"cf = (v >> ({width} - c)) & 1"]
-    elif op == "shr":
-        calc = ["r = v >> c", "cf = (v >> (c - 1)) & 1"]
-    else:  # sar
-        calc = [f"r = ((v - {md} if v & {sgn} else v) >> c) & {m}",
-                "cf = (v >> (c - 1)) & 1"]
-    if elide:
-        inner = [calc[0], *wr_r]
-    else:
-        inner = [*calc, *_zf_sf_pf_lines("r", sgn=sgn),
-                 "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
-    return [
-        f'c = g["rcx"] & {count_mask}',
-        *lv,  # read precedes the count-0 check (reference order)
-        f"v = {ev}",
-        "if c:",
-        *["    " + line for line in inner],
-    ]
-
-
-def _fuse_unary(instr, width, j, env, elide):
-    (dst,) = instr.operands
-    if isinstance(dst, Reg) and dst.register.width != width:
-        return None
-    lv, ev = _fread(dst, width, 2 * j + 1, env)
-    if lv is None:
-        return None
-
-    def write(expr):
-        return _fwrite(dst, width, 2 * j + 1, env, expr,
-                       have_addr=isinstance(dst, Mem))
-
-    wr_r = write("r")
-    if wr_r is None:
-        return None
-    m = hex(mask_for_width(width))
-    sgn = hex(1 << (width - 1))
-    op = instr.mnemonic[:3]
-
-    if op == "not":
-        return [*lv, f"v = {ev}", *write(f"~v & {m}")]
-    if op == "neg":
-        if elide:
-            return [*lv, f"v = {ev}", *write(f"(-v) & {m}")]
-        return [
-            *lv,
-            f"v = {ev}",
-            f"r = (-v) & {m}",
-            *_zf_sf_pf_lines("r", sgn=sgn),
-            "if v:",
-            "    f |= _CF",
-            f"if v & {sgn} and r & {sgn}:",
-            "    f |= _OF",
-            "R.rflags = f",
-            *wr_r,
-        ]
-    delta = "+ 1" if op == "inc" else "- 1"
-    if elide:
-        return [*lv, f"v = {ev}", *write(f"(v {delta}) & {m}")]
-    of_cond = (f"if not v & {sgn} and r & {sgn}:" if op == "inc"
-               else f"if v & {sgn} and not r & {sgn}:")
-    return [
-        *lv,
-        f"v = {ev}",
-        f"r = (v {delta}) & {m}",
-        *_zf_sf_pf_lines("r", sgn=sgn),
-        of_cond,
-        "    f |= _OF",
-        "R.rflags = f | (R.rflags & _CF)",  # inc/dec preserve CF
-        *wr_r,
-    ]
-
-
-def _fuse_setcc(instr, j, env):
-    (dst,) = instr.operands
-    cond = _CC_EXPR.get(instr.spec.cc or "")
-    if cond is None:
-        return None
-    lw = _fwrite(dst, 8, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
-    return ["f = R.rflags", f"v = 1 if {cond} else 0", *lw]
-
-
-def _fuse_convert(instr):
-    if instr.mnemonic == "cltq":
-        return [
-            'v = g["rax"] & 0xffffffff',
-            "if v & 0x80000000:",
-            "    v |= 0xffffffff00000000",
-            'g["rax"] = v',
-        ]
-    if instr.mnemonic == "cltd":
-        return ['g["rdx"] = 0xffffffff if g["rax"] & 0x80000000 else 0']
-    return ['g["rdx"] = 0xffffffffffffffff if g["rax"] >> 63 else 0']  # cqto
-
-
-def _fuse_push(instr, j, env):
-    (src,) = instr.operands
-    lv, ev = _fread(src, 64, 2 * j, env)
-    if lv is None:
-        return None
-    return [
-        *lv,
-        f"v = {ev}",
-        'rsp = g["rsp"] - 8',  # unmasked, as the reference passes it on
-        'g["rsp"] = rsp & _M64',
-        "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
-        "    o = rsp - SEGB0",
-        "    _P8(SEGD0, o, v)",
-        "    SEGA0(o >> 12)",
-        "    SEGA0((o + 7) >> 12)",
-        "else:",
-        "    wr(rsp, v, 8)",
-    ]
-
-
-def _fuse_pop(instr, j, env):
-    (dst,) = instr.operands
-    lw = _fwrite(dst, 64, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
-    return [
-        'rsp = g["rsp"]',
-        "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
-        "    v = _U8(SEGD0, rsp - SEGB0)[0]",
-        "else:",
-        "    v = rd(rsp, 8)",
-        'g["rsp"] = (rsp + 8) & _M64',
-        *lw,
-    ]
-
-
-def _fuse_instr_lines(instr, j, env, elide) -> list[str] | None:
-    """Fused-body statements for one instruction (``None`` = not fusable)."""
-    kind = instr.kind
-    width = instr.spec.width
-    if kind is InstrKind.MOV:
-        return _fuse_mov(instr, width, j, env)
-    if kind is InstrKind.MOVEXT:
-        return _fuse_movext(instr, j, env)
-    if kind is InstrKind.LEA:
-        return _fuse_lea(instr, j, env)
-    if kind is InstrKind.ALU:
-        return _fuse_alu(instr, width, j, env, elide)
-    if kind in (InstrKind.CMP, InstrKind.TEST):
-        return _fuse_cmp_test(instr, width, j, env, elide)
-    if kind is InstrKind.SHIFT:
-        return _fuse_shift(instr, width, j, env, elide)
-    if kind is InstrKind.UNARY:
-        return _fuse_unary(instr, width, j, env, elide)
-    if kind is InstrKind.SETCC:
-        return _fuse_setcc(instr, j, env)
-    if kind is InstrKind.CONVERT:
-        return _fuse_convert(instr)
-    if kind is InstrKind.PUSH:
-        return _fuse_push(instr, j, env)
-    if kind is InstrKind.POP:
-        return _fuse_pop(instr, j, env)
-    if kind is InstrKind.NOP:
-        return []
-    return None
 
 
 def _dead_flag_elisions(run) -> list[bool]:
@@ -1442,45 +1025,29 @@ def _dead_flag_elisions(run) -> list[bool]:
     return elide
 
 
-def _fuse_block(machine, code, start, leaders, base_env, progress):
+def _fuse_block(machine, code, start, leaders, emitted, base_env, progress):
     """Compile the superblock at leader ``start``; None when < 2 instrs.
 
     Returns ``(step, instruction_count, site_count)``. The block extends
-    through straight-line fusable instructions up to (and including) a
-    terminating ``jmp``/``jcc``, and is cut at the next leader, at any
-    call/ret/idiv, or at a shape outside the fast paths.
+    through straight-line emitted instructions up to (and including) a
+    terminating ``jmp``/``jcc``, and is cut at the next leader or at any
+    instruction the emitter did not render.
     """
     n = len(code)
-    run = []
-    j = start
+    end = start
+    while end < n and emitted[end] and (end == start or end not in leaders):
+        end += 1
     term = None
-    while j < n:
-        if j > start and j in leaders:
-            break
-        instr = code[j]
-        kind = instr.kind
-        if kind is InstrKind.JMP:
-            term = ("jmp", None, machine._jump_pc[j])
-            j += 1
-            break
-        if kind is InstrKind.JCC:
-            cond = _CC_EXPR.get(instr.spec.cc or "")
-            if cond is None:
-                break
-            term = ("jcc", cond, machine._jump_pc[j])
-            j += 1
-            break
-        if kind not in _FUSABLE_KINDS:
-            break
-        if _fuse_instr_lines(instr, len(run), dict(base_env), False) is None:
-            break
-        run.append(instr)
-        j += 1
-    end = j
-    length = end - start
-    if length < 2:
+    if start < end < n and end not in leaders:
+        if code[end].kind is InstrKind.JMP:
+            term = ["return TGT"]
+        elif code[end].kind is InstrKind.JCC:
+            term = _jcc_lines(code[end])
+    stop = end + 1 if term is not None else end
+    if stop - start < 2:
         return None
 
+    run = code[start:end]
     elide = _dead_flag_elisions(run)
     is_site = machine._is_site
     env = dict(base_env)
@@ -1492,21 +1059,16 @@ def _fuse_block(machine, code, start, leaders, base_env, progress):
             # Progress stamp consumed by the generated except clause.
             stmts.append(f"N = {idx}")
             stmts.append(f"S = {sites_before}")
-        stmts.extend(_fuse_instr_lines(instr, idx, env, elide[idx]))
+        stmts.extend(_instr_lines(instr, idx, env, elide[idx]))
         if is_site[start + idx]:
             sites_before += 1
 
+    env["NXT"] = stop if stop < n else _FELL_OFF
     if term is None:
-        env["NXT"] = end if end < n else _FELL_OFF
         stmts.append("return NXT")
-    elif term[0] == "jmp":
-        env["TGT"] = term[2]
-        stmts.append("return TGT")
     else:
-        env["TGT"] = term[2]
-        env["NXT"] = end if end < n else _FELL_OFF
-        stmts.append("f = R.rflags")
-        stmts.append(f"return TGT if {term[1]} else NXT")
+        env["TGT"] = machine._jump_pc[end]
+        stmts.extend(term)
 
     if faulting:
         env["ME"] = MachineError
@@ -1518,15 +1080,16 @@ def _fuse_block(machine, code, start, leaders, base_env, progress):
     else:
         body = stmts
     step = _build_step(body, env)
-    block_sites = sum(1 for pc in range(start, end) if is_site[pc])
-    return step, length, block_sites
+    block_sites = sum(1 for pc in range(start, stop) if is_site[pc])
+    return step, stop - start, block_sites
 
 
 def translate_fused(machine: "Machine") -> FusedCode:
-    """Fuse superblocks over the per-instruction translation of ``machine``."""
+    """Fuse superblocks over the single steps of ``machine``'s program."""
     base = translate_program(machine)
     code = machine._code
     n = len(code)
+    emitted = base.emitted
 
     leaders = set(machine._entry.values())
     for pc in range(n):
@@ -1534,27 +1097,10 @@ def translate_fused(machine: "Machine") -> FusedCode:
             leaders.add(machine._jump_pc[pc])
         if machine._call_entry_pc[pc] >= 0:
             leaders.add(machine._call_entry_pc[pc])
-        kind = code[pc].kind
-        if (kind.is_branch or kind not in _FUSABLE_KINDS) and pc + 1 < n:
+        if not emitted[pc] and pc + 1 < n:
             leaders.add(pc + 1)
 
-    registers = machine.registers
-    base_env = {
-        "g": registers._gprs,
-        "R": registers,
-        "rd": machine.memory.read_uint,
-        "wr": machine.memory.write_uint,
-        "M64": _M64,
-    }
-    # Segment bindings for the inlined memory fast path. Segment start,
-    # backing bytearray and dirty set are identity-stable across resets and
-    # snapshot restores (see repro.machine.memory), so capturing them at
-    # fuse time is safe.
-    for k, seg in enumerate(machine.memory._segments):
-        base_env[f"SEGB{k}"] = seg.start
-        base_env[f"SEGE{k}"] = seg.start + len(seg.data)
-        base_env[f"SEGD{k}"] = seg.data
-        base_env[f"SEGA{k}"] = seg.dirty.add
+    base_env = _base_env(machine)
     progress = [0, 0]
     fused_steps: list[Step | None] = [None] * n
     fused_len = [0] * n
@@ -1562,7 +1108,8 @@ def translate_fused(machine: "Machine") -> FusedCode:
     for start in sorted(leaders):
         if start >= n:
             continue
-        built = _fuse_block(machine, code, start, leaders, base_env, progress)
+        built = _fuse_block(machine, code, start, leaders, emitted, base_env,
+                            progress)
         if built is None:
             continue
         fused_steps[start], fused_len[start], fused_sites[start] = built
@@ -1586,9 +1133,10 @@ def execute_fused(
     the budget cannot expire mid-block, no ``stop_at_site`` boundary and no
     hook-eligible fault site falls inside it. Everything else (including
     every instruction of a block containing the pending fault site)
-    single-steps through the per-instruction translated steps, so counters,
-    snapshots, hook delivery and fault-site numbering are bit-identical to
-    the reference engine.
+    single-steps through the per-instruction steps — one-instruction bodies
+    of the same emitter, or the closure and reference-handler steps for the
+    kinds it does not render — so counters, snapshots, hook delivery and
+    fault-site numbering are bit-identical to the reference engine.
 
     The no-hook/no-stop fast loop serves golden runs and fault-free suffix
     execution; the general loop adds fault-site delivery and checkpoint

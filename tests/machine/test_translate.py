@@ -1,13 +1,16 @@
 """Fused engine vs reference handlers: bit-identity differential.
 
-The fused engine (:mod:`repro.machine.translate`: per-instruction
-threaded-code steps under superblocks with dead-flag elision) is pure
-execution strategy — for any program, the reference handler loop is the
-semantic oracle and the fused engine must be indistinguishable from it:
-same :class:`RunResult`, same fault-site numbering, same fault-hook
-delivery (including ``executed_at_site``), same snapshots, and the same
-faults/detections with the same messages when a bit is flipped mid-run.
-Every parity assertion here runs over all entries of ``ENGINES``.
+The fused engine (:mod:`repro.machine.translate`: superblocks with
+dead-flag elision over single steps, both rendered by one instruction
+emitter) is pure execution strategy — for any program, the reference
+handler loop is the semantic oracle and the fused engine must be
+indistinguishable from it: same :class:`RunResult`, same fault-site
+numbering, same fault-hook delivery (including ``executed_at_site``), same
+snapshots, and the same faults/detections with the same messages when a bit
+is flipped mid-run. Every parity assertion here runs over all entries of
+``ENGINES``; the clean-run and mid-run-fault ones also over ``blocks-off``,
+a fused machine with every superblock removed, so each instruction of each
+program runs as its one-instruction step.
 """
 
 import pytest
@@ -16,6 +19,7 @@ from repro.errors import EngineConfigError, MachineError, MachineFault
 from repro.fuzz.generator import generate_program
 from repro.machine.cpu import ENGINE_ENV_VAR, ENGINES, Machine
 from repro.machine.timing import TimingConfig
+from repro.machine.translate import translate_fused
 from repro.pipeline import build_variants
 from repro.workloads.registry import all_workloads, get_workload
 
@@ -25,6 +29,9 @@ FUZZ_SEEDS = (3, 17, 58)
 VARIANTS = ("raw", "ferrum")
 
 WORKLOAD_NAMES = tuple(spec.name for spec in all_workloads())
+
+#: ``ENGINES`` plus the fused engine's single-step layer on its own.
+CASES = (*ENGINES, "blocks-off")
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +56,18 @@ def fuzz_asm():
     }
 
 
+def _machine(program, case):
+    """A Machine for ``case``: an engine name, or ``blocks-off``."""
+    if case != "blocks-off":
+        return Machine(program, engine=case)
+    machine = Machine(program, engine="fused")
+    machine._fused = translate_fused(machine)
+    machine._fused.fused_steps = [None] * len(machine._fused.fused_steps)
+    return machine
+
+
 def _run_all(program, **kwargs):
-    return {
-        engine: Machine(program, engine=engine).run(**kwargs)
-        for engine in ENGINES
-    }
+    return {case: _machine(program, case).run(**kwargs) for case in CASES}
 
 
 def _all_equal(values):
@@ -255,8 +269,6 @@ class TestFusedSuperblocks:
     """Structure and behavior specific to the superblock-fused engine."""
 
     def test_blocks_actually_fuse(self, workload_asm):
-        from repro.machine.translate import translate_fused
-
         machine = Machine(workload_asm[WORKLOAD_NAMES[0]]["raw"],
                           engine="fused")
         fused = translate_fused(machine)
@@ -268,8 +280,6 @@ class TestFusedSuperblocks:
     def test_leaders_never_mid_block(self, workload_asm):
         """No fused block may extend across another block's leader — a jump
         into the middle of a fused body would skip its preceding effects."""
-        from repro.machine.translate import translate_fused
-
         machine = Machine(workload_asm[WORKLOAD_NAMES[1]]["ferrum"],
                           engine="fused")
         fused = translate_fused(machine)
@@ -302,16 +312,16 @@ class TestFusedSuperblocks:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_fault_mid_run_counters_identical(self, fuzz_asm, variant):
-        """A crash inside a fused block must stamp halt_executed and
-        halt_sites exactly as the reference engine does."""
+        """A crash inside a fused block or a single step must stamp
+        halt_executed and halt_sites exactly as the reference engine does."""
         program = fuzz_asm[FUZZ_SEEDS[1]][variant]
         golden = Machine(program).run()
         step = max(1, golden.fault_sites // 23)
         budget = golden.dynamic_instructions * 6
         for site in range(0, golden.fault_sites, step):
             stamps = []
-            for engine in ENGINES:
-                machine = Machine(program, engine=engine)
+            for case in CASES:
+                machine = _machine(program, case)
 
                 def hook(m, instr, s):
                     dest = instr.dest_registers()
