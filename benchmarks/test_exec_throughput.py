@@ -1,9 +1,8 @@
 """Tier-2 perf smoke: step throughput of the fused engine vs the reference.
 
 The fused engine concatenates whole basic blocks into single exec-compiled
-bodies with dead-flag elision and inlined memory fast paths, over
-one-instruction single steps from the same emitter (see
-``docs/performance.md``), and must
+bodies with inlined memory fast paths, over one-instruction single steps
+from the same emitter (see ``docs/performance.md``), and must
 beat the reference handler loop by >= 6x instructions/sec on at least two
 workloads.
 

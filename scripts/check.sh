@@ -63,6 +63,12 @@ for workload in observe coverage cycles compile; do
         --trace 1 >/dev/null || status=$?
 done
 
+echo "== examples run and match their tracked outputs =="
+# Mirrors the CI examples job: every example exits 0 and rewrites its
+# results/example_*.txt byte-identically.
+sh results/run_examples.sh >/dev/null || status=$?
+git diff --exit-code results/example_*.txt || status=1
+
 echo "== dme campaign smoke (durable service CLI) =="
 # Mirrors the CI tests-dme job: an end-to-end --techniques dme campaign
 # through the durable service, which no other stage runs.

@@ -123,9 +123,9 @@ class Machine:
     ) -> None:
         """Load ``program`` and pick an execution engine.
 
-        ``engine`` selects ``"fused"`` (the default: superblocks compiled
-        with dead-flag elision over one-instruction single steps, both from
-        one instruction emitter; see ``docs/performance.md``) or
+        ``engine`` selects ``"fused"`` (the default: superblocks over
+        one-instruction single steps, both from one instruction emitter;
+        see ``docs/performance.md``) or
         ``"reference"`` (the per-instruction handler interpreter, kept as
         the semantic oracle). When not passed explicitly, the
         ``FERRUM_ENGINE`` environment variable is honored.
@@ -409,33 +409,20 @@ class Machine:
         stop_at_site: int | None,
         timer: TimingModel | None = None,
     ) -> tuple[int, int, int, bool]:
-        """One dispatch onto the selected engine, with snapshot bookkeeping.
+        """One dispatch onto the selected engine.
 
-        Generated fused steps write the register dicts and
-        ``rflags`` directly, bypassing :meth:`RegisterFile.write` — so the
-        copy-on-write snapshot cache is invalidated once per leg: whenever
-        the leg advanced ``executed`` (a leg that executed nothing wrote
-        nothing), and unconditionally when it raised mid-flight (counters
-        are unknown then). Timing-model legs always take the reference
-        loop, which observes per-access memory traffic.
+        Timing-model legs always take the reference loop, which observes
+        per-access memory traffic.
         """
-        try:
-            if self.engine == "fused" and timer is None:
-                out = self._run_fused(
-                    pc, executed, sites, budget, fault_hook, fault_at,
-                    stop_at_site,
-                )
-            else:
-                out = self._execute_from(
-                    pc, executed, sites, budget, fault_hook, fault_at,
-                    timer, stop_at_site,
-                )
-        except BaseException:
-            self.registers.note_direct_writes()
-            raise
-        if out[1] != executed:
-            self.registers.note_direct_writes()
-        return out
+        if self.engine == "fused" and timer is None:
+            return self._run_fused(
+                pc, executed, sites, budget, fault_hook, fault_at,
+                stop_at_site,
+            )
+        return self._execute_from(
+            pc, executed, sites, budget, fault_hook, fault_at,
+            timer, stop_at_site,
+        )
 
     def _run_converged(
         self,

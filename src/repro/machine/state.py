@@ -41,33 +41,14 @@ class RegisterFile:
     lifetime of the register file: :meth:`reset` and :meth:`restore_state`
     mutate them in place rather than rebinding. The fused execution engine
     (:mod:`repro.machine.translate`) relies on this — its compiled steps
-    and superblocks capture the dicts once at translation time.
+    and superblocks capture the dicts once at translation time and write
+    them directly, so the file keeps no state derived from them.
     """
 
     def __init__(self) -> None:
         self._gprs: dict[str, int] = {root: 0 for root in GPR64}
         self._vectors: dict[str, int] = {f"ymm{i}": 0 for i in range(16)}
         self.rflags: int = 0
-        # Copy-on-write snapshot support: ``_version`` advances on every
-        # mutation path, and ``_cached`` remembers the last snapshot taken
-        # (or restored) together with the version it reflects. Snapshots
-        # are immutable, so an unchanged file can hand the same object out
-        # again instead of deep-copying the dicts.
-        self._version: int = 0
-        self._cached: tuple[int, RegisterFileSnapshot] | None = None
-        #: Deep copies actually performed by :meth:`snapshot_state`.
-        self.snapshot_copies: int = 0
-        #: Snapshot requests served from the copy-on-write cache.
-        self.snapshot_hits: int = 0
-
-    def note_direct_writes(self) -> None:
-        """Invalidate the snapshot cache after writes that bypass this API.
-
-        The fused execution engine writes ``_gprs`` entries and
-        ``rflags`` directly from generated code; the machine calls this once
-        per engine leg so copy-on-write snapshots never go stale.
-        """
-        self._version += 1
 
     def reset(self) -> None:
         """Zero every register in place (same dict objects, fresh values)."""
@@ -78,7 +59,6 @@ class RegisterFile:
         for root in vectors:
             vectors[root] = 0
         self.rflags = 0
-        self._version += 1
 
     # -- typed accessors -------------------------------------------------
 
@@ -94,7 +74,6 @@ class RegisterFile:
 
     def write(self, reg: Register, value: int) -> None:
         """Write a register view, applying the width-dependent merge rules."""
-        self._version += 1
         if reg.kind is RegisterKind.GPR:
             value = to_unsigned(value, reg.width)
             if reg.width == 64:
@@ -124,7 +103,6 @@ class RegisterFile:
         return self._vectors[root]
 
     def write_root(self, root: str, value: int) -> None:
-        self._version += 1
         if root in self._gprs:
             self._gprs[root] = to_unsigned(value, 64)
         else:
@@ -135,7 +113,6 @@ class RegisterFile:
     def flip(self, reg: Register, bit: int) -> None:
         """Flip one bit of a register view in place (the fault primitive)."""
         if reg.kind is RegisterKind.FLAGS:
-            self._version += 1
             self.rflags = flip_bit(self.rflags, bit, 64)
             return
         value = self.read(reg)
@@ -151,27 +128,15 @@ class RegisterFile:
     # -- checkpoint/restore ------------------------------------------------
 
     def snapshot_state(self) -> RegisterFileSnapshot:
-        """Snapshot for checkpoint/restore (see :mod:`repro.machine.cpu`).
-
-        Copy-on-write: if the file has not been written since the last
-        snapshot (or restore), the cached snapshot object is returned and
-        no dicts are copied. Snapshots are immutable, so sharing is safe.
-        """
-        cached = self._cached
-        if cached is not None and cached[0] == self._version:
-            self.snapshot_hits += 1
-            return cached[1]
-        snap = RegisterFileSnapshot(
+        """Snapshot for checkpoint/restore (see :mod:`repro.machine.cpu`)."""
+        return RegisterFileSnapshot(
             gprs=dict(self._gprs),
             vectors=dict(self._vectors),
             rflags=self.rflags,
         )
-        self._cached = (self._version, snap)
-        self.snapshot_copies += 1
-        return snap
 
     def state_equals(self, snap: RegisterFileSnapshot) -> bool:
-        """True iff the live state equals ``snap`` (no copies, no cache bump).
+        """True iff the live state equals ``snap`` (no copies).
 
         The convergence monitor compares a faulted run's registers against
         golden trail entries at every boundary; a direct dict compare keeps
@@ -188,12 +153,8 @@ class RegisterFile:
 
         In-place: snapshots always carry every root, so a dict update
         overwrites the complete state without rebinding the backing dicts
-        (which compiled execution steps hold by reference). The restored
-        snapshot seeds the copy-on-write cache — a snapshot taken before
-        any further write returns ``snap`` itself, copy-free.
+        (which compiled execution steps hold by reference).
         """
         self._gprs.update(snap.gprs)
         self._vectors.update(snap.vectors)
         self.rflags = snap.rflags
-        self._version += 1
-        self._cached = (self._version, snap)

@@ -39,10 +39,9 @@ conditional return a superblock uses). ``idiv``, ``call``, ``ret`` and
 ``jmp`` keep small hand-written closures, and shapes the emitter does not
 cover (vector ops, deliberately malformed operands) wrap the reference
 handler. :func:`translate_fused` concatenates the bodies of whole basic
-blocks into single superblock bodies, eliding flag computation where a
-block-local liveness pass proves the bits dead, and :func:`execute_fused`
-single-steps wherever a fault site, stop target or budget boundary must be
-observed mid-block.
+blocks into single superblock bodies, and :func:`execute_fused`, one
+dispatch loop for every kind of run, single-steps wherever a fault site,
+stop target or budget boundary must be observed mid-block.
 
 Bit-identity contract: for any program, input, fault plan, snapshot or
 budget, the fused engine produces exactly the same ``RunResult``,
@@ -54,7 +53,9 @@ instruction. See the fusion section below and ``docs/performance.md``.
 Closures capture the machine's register-file dict, memory accessors and
 segment buffers directly; :class:`~repro.machine.state.RegisterFile` and
 :class:`~repro.machine.memory.Memory` guarantee those objects are
-identity-stable across resets and snapshot restores.
+identity-stable across resets and snapshot restores. No closure captures
+the machine itself (see :class:`TranslatedCode`), so a dropped machine is
+freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -64,12 +65,6 @@ import struct as _struct
 from typing import TYPE_CHECKING, Callable
 
 from repro.asm.instructions import InstrKind
-from repro.asm.liveness import (
-    ALL_FLAG_BITS,
-    _shift_count,
-    flag_bits_read,
-    flag_bits_written,
-)
 from repro.asm.operands import Imm, Mem, Operand, Reg
 from repro.asm.registers import Register, RegisterKind
 from repro.errors import (
@@ -117,16 +112,22 @@ class TranslatedCode:
 
     ``emitted[pc]`` records whether :func:`_instr_lines` rendered the
     instruction at ``pc``, i.e. whether it may sit inside a superblock.
+    Steps that need the machine itself (``call``, ``ret`` and the
+    reference-handler fallback) read it from the one-slot ``machine_cell``,
+    which :func:`execute_fused` fills only while it runs: a captured
+    machine would make every fused machine a reference cycle, freed only
+    by the cyclic garbage collector.
     """
 
-    __slots__ = ("steps", "site_flags", "code_len", "emitted")
+    __slots__ = ("steps", "site_flags", "code_len", "emitted", "machine_cell")
 
     def __init__(self, steps: list[Step], site_flags: list[int],
-                 emitted: list[bool]) -> None:
+                 emitted: list[bool], machine_cell: list) -> None:
         self.steps = steps
         self.site_flags = site_flags
         self.code_len = len(steps)
         self.emitted = emitted
+        self.machine_cell = machine_cell
 
 
 # -- code generation core ----------------------------------------------------
@@ -261,9 +262,7 @@ def _zf_sf_pf_lines(result_var: str, sgn: str) -> list[str]:
 # as a reference-handler step, so the steps are total over the ISA by
 # construction. ``j`` is the instruction's index inside its body (operand
 # slots ``2 * j`` and ``2 * j + 1`` keep closure-cell and local names
-# distinct when a superblock concatenates several instructions), and
-# ``elide`` drops flag computation that the block's liveness pass proved
-# dead (always False for a single step).
+# distinct when a superblock concatenates several instructions).
 
 
 def _seg_guess(mem: Mem) -> int:
@@ -426,7 +425,7 @@ def _emit_lea(instr, j, env):
     return _write_op(dst, 64, 2 * j + 1, env, addr)
 
 
-def _emit_alu(instr, width, j, env, elide):
+def _emit_alu(instr, width, j, env):
     src, dst = instr.operands
     if not _alu_guard(src, dst, width):
         return None
@@ -434,22 +433,17 @@ def _emit_alu(instr, width, j, env, elide):
     lb, eb = _read_op(dst, width, 2 * j + 1, env)
     if la is None or lb is None:
         return None
-
-    def write(expr):
-        return _write_op(dst, width, 2 * j + 1, env, expr,
-                         have_addr=isinstance(dst, Mem))
+    wr_r = _write_op(dst, width, 2 * j + 1, env, "r",
+                     have_addr=isinstance(dst, Mem))
+    if wr_r is None:
+        return None
 
     m = hex(mask_for_width(width))
     sgn = hex(1 << (width - 1))
     root = instr.mnemonic[:-1]
     pre = [*la, f"a = {ea}", *lb, f"b = {eb}"]  # src read first, as in the reference
-    wr_r = write("r")
-    if wr_r is None:
-        return None
 
     if root == "add":
-        if elide:
-            return [*pre, *write(f"(a + b) & {m}")]
         return [
             *pre,
             "full = a + b",
@@ -463,8 +457,6 @@ def _emit_alu(instr, width, j, env, elide):
             *wr_r,
         ]
     if root == "sub":
-        if elide:
-            return [*pre, *write(f"(b - a) & {m}")]
         return [
             *pre,
             f"r = (b - a) & {m}",
@@ -478,7 +470,7 @@ def _emit_alu(instr, width, j, env, elide):
         ]
     if root == "imul":
         md = hex(mask_for_width(width) + 1)
-        body = [
+        return [
             *pre,
             f"if a & {sgn}:",
             f"    a -= {md}",
@@ -486,11 +478,6 @@ def _emit_alu(instr, width, j, env, elide):
             f"    b -= {md}",
             "full = a * b",
             f"r = full & {m}",
-        ]
-        if elide:
-            return [*body, *wr_r]
-        return [
-            *body,
             *_zf_sf_pf_lines("r", sgn),
             f"if (r - {md} if r & {sgn} else r) != full:",
             "    f |= _CFOF",
@@ -499,14 +486,12 @@ def _emit_alu(instr, width, j, env, elide):
         ]
     if root in ("and", "or", "xor"):
         sym = {"and": "&", "or": "|", "xor": "^"}[root]
-        body = [*pre, f"r = b {sym} a"]
-        if elide:
-            return [*body, *wr_r]
-        return [*body, *_zf_sf_pf_lines("r", sgn), "R.rflags = f", *wr_r]
+        return [*pre, f"r = b {sym} a", *_zf_sf_pf_lines("r", sgn),
+                "R.rflags = f", *wr_r]
     return None  # pragma: no cover - spec table guarantees the roots above
 
 
-def _emit_cmp_test(instr, width, j, env, elide):
+def _emit_cmp_test(instr, width, j, env):
     src, dst = instr.operands
     if not _alu_guard(src, dst, width):
         return None
@@ -514,10 +499,6 @@ def _emit_cmp_test(instr, width, j, env, elide):
     lb, eb = _read_op(dst, width, 2 * j + 1, env)
     if la is None or lb is None:
         return None
-    if elide:
-        # Flags are dead: keep only the (possibly faulting) memory reads,
-        # in the reference's src-then-dst order.
-        return [*la, *lb]
     sgn = hex(1 << (width - 1))
     if instr.kind is InstrKind.TEST:
         return [*la, f"a = {ea}", *lb, f"r = {eb} & a",
@@ -538,7 +519,7 @@ def _emit_cmp_test(instr, width, j, env, elide):
     ]
 
 
-def _emit_shift(instr, width, j, env, elide):
+def _emit_shift(instr, width, j, env):
     src, dst = instr.operands
     if isinstance(dst, Reg) and dst.register.width != width:
         return None
@@ -569,8 +550,6 @@ def _emit_shift(instr, width, j, env, elide):
         else:  # sar
             calc = [f"r = ((v - {md} if v & {sgn} else v) >> {count}) & {m}",
                     f"cf = (v >> {count - 1}) & 1"]
-        if elide:
-            return [*lv, f"v = {ev}", calc[0], *wr_r]
         return [*lv, f"v = {ev}", *calc, *_zf_sf_pf_lines("r", sgn),
                 "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
 
@@ -583,11 +562,8 @@ def _emit_shift(instr, width, j, env, elide):
     else:  # sar
         calc = [f"r = ((v - {md} if v & {sgn} else v) >> c) & {m}",
                 "cf = (v >> (c - 1)) & 1"]
-    if elide:
-        inner = [calc[0], *wr_r]
-    else:
-        inner = [*calc, *_zf_sf_pf_lines("r", sgn),
-                 "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
+    inner = [*calc, *_zf_sf_pf_lines("r", sgn),
+             "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
     return [
         f'c = g["rcx"] & {count_mask}',
         *lv,  # read precedes the count-0 check (reference order)
@@ -597,7 +573,7 @@ def _emit_shift(instr, width, j, env, elide):
     ]
 
 
-def _emit_unary(instr, width, j, env, elide):
+def _emit_unary(instr, width, j, env):
     (dst,) = instr.operands
     if isinstance(dst, Reg) and dst.register.width != width:
         return None
@@ -619,8 +595,6 @@ def _emit_unary(instr, width, j, env, elide):
     if op == "not":
         return [*lv, f"v = {ev}", *write(f"~v & {m}")]
     if op == "neg":
-        if elide:
-            return [*lv, f"v = {ev}", *write(f"(-v) & {m}")]
         return [
             *lv,
             f"v = {ev}",
@@ -634,8 +608,6 @@ def _emit_unary(instr, width, j, env, elide):
             *wr_r,
         ]
     delta = "+ 1" if op == "inc" else "- 1"
-    if elide:
-        return [*lv, f"v = {ev}", *write(f"(v {delta}) & {m}")]
     of_cond = (f"if not v & {sgn} and r & {sgn}:" if op == "inc"
                else f"if v & {sgn} and not r & {sgn}:")
     return [
@@ -710,7 +682,7 @@ def _emit_pop(instr, j, env):
     ]
 
 
-def _instr_lines(instr, j, env, elide) -> list[str] | None:
+def _instr_lines(instr, j, env) -> list[str] | None:
     """Body statements for one instruction (``None`` = not emitted).
 
     The one place instruction semantics are rendered: a single step is
@@ -725,13 +697,13 @@ def _instr_lines(instr, j, env, elide) -> list[str] | None:
     if kind is InstrKind.LEA:
         return _emit_lea(instr, j, env)
     if kind is InstrKind.ALU:
-        return _emit_alu(instr, width, j, env, elide)
+        return _emit_alu(instr, width, j, env)
     if kind in (InstrKind.CMP, InstrKind.TEST):
-        return _emit_cmp_test(instr, width, j, env, elide)
+        return _emit_cmp_test(instr, width, j, env)
     if kind is InstrKind.SHIFT:
-        return _emit_shift(instr, width, j, env, elide)
+        return _emit_shift(instr, width, j, env)
     if kind is InstrKind.UNARY:
-        return _emit_unary(instr, width, j, env, elide)
+        return _emit_unary(instr, width, j, env)
     if kind is InstrKind.SETCC:
         return _emit_setcc(instr, j, env)
     if kind is InstrKind.CONVERT:
@@ -797,7 +769,7 @@ def _steps_idiv(instr, width, nxt, gprs, env):
     return step
 
 
-def _steps_ret(machine, gprs, memory, code_len):
+def _steps_ret(cell, gprs, memory, code_len):
     """``retq``: pop the return address; sentinel halts the program.
 
     The reference raises post-dispatch faults (unmapped stack, corrupted
@@ -809,6 +781,7 @@ def _steps_ret(machine, gprs, memory, code_len):
     read_uint = memory.read_uint
 
     def step() -> int:
+        machine = cell[0]
         machine._post_exec = True
         rsp = gprs["rsp"]
         return_to = read_uint(rsp, 8)
@@ -825,9 +798,10 @@ def _steps_ret(machine, gprs, memory, code_len):
     return step
 
 
-def _steps_call(machine, pc, nxt, entry_pc, builtin_fn, gprs, memory):
+def _steps_call(cell, pc, nxt, entry_pc, builtin_fn, gprs, memory):
     if builtin_fn is not None:
         def step() -> int:
+            machine = cell[0]
             machine._post_exec = True  # builtin errors count the call as executed
             result = builtin_fn(machine)
             machine._post_exec = False
@@ -841,6 +815,7 @@ def _steps_call(machine, pc, nxt, entry_pc, builtin_fn, gprs, memory):
     write_uint = memory.write_uint
 
     def step() -> int:
+        machine = cell[0]
         machine._post_exec = True  # a stack overflow here is a post-exec fault
         new_rsp = gprs["rsp"] - 8  # unmasked, as the reference passes it on
         gprs["rsp"] = new_rsp & _M64
@@ -850,7 +825,7 @@ def _steps_call(machine, pc, nxt, entry_pc, builtin_fn, gprs, memory):
     return step
 
 
-def _steps_generic(machine, instr, nxt, target_pc):
+def _steps_generic(cell, instr, nxt, target_pc):
     """Reference-handler fallback for shapes outside the fast paths.
 
     Vector instructions and deliberately malformed operand shapes execute
@@ -861,7 +836,7 @@ def _steps_generic(machine, instr, nxt, target_pc):
     handler = handler_for(instr)
 
     def step() -> int:
-        effect = handler(machine, instr)
+        effect = handler(cell[0], instr)
         flow = effect.flow
         if flow is Flow.NEXT:
             return nxt
@@ -908,6 +883,7 @@ def translate_program(machine: "Machine") -> TranslatedCode:
     base_env = _base_env(machine)
     code = machine._code
     code_len = len(code)
+    cell: list = [None]
     steps: list[Step] = []
     emitted: list[bool] = []
 
@@ -916,7 +892,7 @@ def translate_program(machine: "Machine") -> TranslatedCode:
         kind = instr.kind
         env = dict(base_env)
         env["NXT"] = nxt
-        lines = _instr_lines(instr, 0, env, False)
+        lines = _instr_lines(instr, 0, env)
         emitted.append(lines is not None)
         step: Step | None = None
 
@@ -933,17 +909,17 @@ def translate_program(machine: "Machine") -> TranslatedCode:
             def step(_t=machine._jump_pc[pc]) -> int:
                 return _t
         elif kind is InstrKind.CALL:
-            step = _steps_call(machine, pc, nxt, machine._call_entry_pc[pc],
+            step = _steps_call(cell, pc, nxt, machine._call_entry_pc[pc],
                                machine._call_builtin_fn[pc], gprs, memory)
         elif kind is InstrKind.RET:
-            step = _steps_ret(machine, gprs, memory, code_len)
+            step = _steps_ret(cell, gprs, memory, code_len)
 
         if step is None:
-            step = _steps_generic(machine, instr, nxt, machine._jump_pc[pc])
+            step = _steps_generic(cell, instr, nxt, machine._jump_pc[pc])
         steps.append(step)
 
     site_flags = [1 if site else 0 for site in machine._is_site]
-    return TranslatedCode(steps, site_flags, emitted)
+    return TranslatedCode(steps, site_flags, emitted, cell)
 
 
 # -- superblock fusion --------------------------------------------------------
@@ -951,11 +927,8 @@ def translate_program(machine: "Machine") -> TranslatedCode:
 # Fusion removes the remaining per-instruction cost of single steps: instead
 # of one closure call, one counter update and one loop iteration per
 # instruction, each basic block / fall-through superblock compiles to ONE
-# exec'd body — the emitter's statements concatenated, with flag computation
-# elided at interior instructions whose flags are provably dead (per-bit
-# backward liveness over ``asm.liveness.flag_bits_read``/
-# ``flag_bits_written``, conservatively ALL bits live at every block exit,
-# so the architectural RFLAGS value at any block boundary is always exact).
+# exec'd body — the emitter's statements concatenated, every instruction's
+# flags computed exactly as its single step computes them.
 #
 # Bit-identity is preserved by construction:
 #
@@ -1000,31 +973,6 @@ def _can_fault(instr) -> bool:
     return any(isinstance(op, Mem) for op in instr.operands)
 
 
-def _dead_flag_elisions(run) -> list[bool]:
-    """Per-instruction dead-flag verdicts via backward per-bit liveness.
-
-    ALL five bits are treated as live at the block exit (the successor is
-    unknown), so the last writer of any bit is never elided and RFLAGS is
-    architecturally exact at every block boundary. Interior writers whose
-    every possibly-written bit is overwritten before any read are elided.
-    ``%cl``-count shifts may write all bits but must-write none, so they
-    can be elided when all bits are dead but never kill a bit themselves.
-    """
-    live = set(ALL_FLAG_BITS)
-    elide = [False] * len(run)
-    for idx in range(len(run) - 1, -1, -1):
-        instr = run[idx]
-        must = flag_bits_written(instr)
-        may = must
-        if instr.kind is InstrKind.SHIFT and _shift_count(instr) is None:
-            may = ALL_FLAG_BITS
-        if may and not (may & live):
-            elide[idx] = True
-        live -= must
-        live |= flag_bits_read(instr)
-    return elide
-
-
 def _fuse_block(machine, code, start, leaders, emitted, base_env, progress):
     """Compile the superblock at leader ``start``; None when < 2 instrs.
 
@@ -1048,7 +996,6 @@ def _fuse_block(machine, code, start, leaders, emitted, base_env, progress):
         return None
 
     run = code[start:end]
-    elide = _dead_flag_elisions(run)
     is_site = machine._is_site
     env = dict(base_env)
     faulting = any(_can_fault(instr) for instr in run)
@@ -1059,7 +1006,7 @@ def _fuse_block(machine, code, start, leaders, emitted, base_env, progress):
             # Progress stamp consumed by the generated except clause.
             stmts.append(f"N = {idx}")
             stmts.append(f"S = {sites_before}")
-        stmts.extend(_instr_lines(instr, idx, env, elide[idx]))
+        stmts.extend(_instr_lines(instr, idx, env))
         if is_site[start + idx]:
             sites_before += 1
 
@@ -1138,16 +1085,12 @@ def execute_fused(
     kinds it does not render — so counters, snapshots, hook delivery and
     fault-site numbering are bit-identical to the reference engine.
 
-    The no-hook/no-stop fast loop serves golden runs and fault-free suffix
-    execution; the general loop adds fault-site delivery and checkpoint
-    stops with exactly the reference engine's check ordering, counters and
-    halt-stamp semantics. Because ``fault_hook`` and ``stop_at_site``
-    compose in one call, convergence early-exit needs no loop of its own:
+    One loop serves every leg, golden runs included, with exactly the
+    reference engine's check ordering, counters and halt-stamp semantics.
+    Because ``fault_hook`` and ``stop_at_site`` compose in one call,
+    convergence early-exit needs no loop of its own:
     ``Machine._run_converged`` chains plain legs of this function between
-    trail boundaries. Steps write ``_gprs``/``rflags`` behind the register
-    file's back, so callers that cache register snapshots must go through
-    ``Machine._engine_leg``, which invalidates the copy-on-write cache
-    after every leg that executed an instruction.
+    trail boundaries.
     """
     base = fused.base
     steps = base.steps
@@ -1157,48 +1100,10 @@ def execute_fused(
     flen = fused.fused_len
     fsites = fused.fused_sites
     prog = fused.progress
-
-    if fault_hook is None and stop_at_site is None:
-        try:
-            if pc < 0 or pc >= code_len:
-                raise MachineFault(f"execution fell outside code at index {pc}")
-            while True:
-                fstep = fsteps[pc]
-                if fstep is not None and executed + flen[pc] <= budget:
-                    try:
-                        new_pc = fstep()
-                    except MachineError:
-                        executed += prog[0]
-                        sites += prog[1]
-                        raise
-                    executed += flen[pc]
-                    sites += fsites[pc]
-                else:
-                    if executed >= budget:
-                        raise ExecutionLimitExceeded(
-                            f"exceeded {budget} dynamic instructions"
-                        )
-                    new_pc = steps[pc]()
-                    executed += 1
-                    sites += site_flags[pc]
-                if new_pc >= 0:
-                    pc = new_pc
-                    continue
-                if new_pc == _HALT:
-                    break
-                raise MachineFault(
-                    f"execution fell outside code at index {code_len}"
-                )
-        except MachineError:
-            if machine._post_exec:
-                machine._post_exec = False
-                executed += 1  # the faulting call/ret did execute
-            machine.halt_executed = executed
-            machine.halt_sites = sites
-            raise
-        return pc, executed, sites, False
-
     code = machine._code
+    cell = base.machine_cell
+    outer = cell[0]
+    cell[0] = machine
     try:
         while True:
             # Check order mirrors the reference loop: stop, bounds, budget.
@@ -1257,4 +1162,6 @@ def execute_fused(
         machine.halt_executed = executed
         machine.halt_sites = sites
         raise
+    finally:
+        cell[0] = outer
     return pc, executed, sites, False

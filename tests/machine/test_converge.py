@@ -1,4 +1,4 @@
-"""Golden digest trails: determinism, soundness plumbing, COW snapshots.
+"""Golden digest trails: determinism, soundness plumbing, register snapshots.
 
 The convergence early-exit contract starts with the trail itself: the
 digest trail of one (program, input) unit must be a pure function of the
@@ -218,49 +218,44 @@ class TestWriteWatch:
         memory.end_write_watch(saved)
 
 
-class TestCopyOnWriteSnapshots:
-    def test_repeat_snapshot_returns_cached_object(self):
-        regs = RegisterFile()
-        first = regs.snapshot_state()
-        second = regs.snapshot_state()
-        assert first is second
-        assert regs.snapshot_copies == 1
-        assert regs.snapshot_hits == 1
-
-    def test_write_invalidates_cache(self):
+class TestRegisterSnapshots:
+    def test_write_shows_in_next_snapshot(self):
         from repro.asm.registers import get_register
 
         regs = RegisterFile()
         first = regs.snapshot_state()
         regs.write(get_register("rax"), 7)
         second = regs.snapshot_state()
-        assert first is not second
+        assert first.gprs["rax"] == 0
         assert second.gprs["rax"] == 7
-        assert regs.snapshot_copies == 2
 
-    def test_flip_invalidates_cache(self):
+    def test_flip_shows_in_next_snapshot(self):
         from repro.asm.registers import get_register
 
         regs = RegisterFile()
         first = regs.snapshot_state()
         regs.flip(get_register("rax"), 3)
-        assert regs.snapshot_state() is not first
+        assert regs.snapshot_state().gprs["rax"] == 8
+        assert first.gprs["rax"] == 0
 
-    def test_note_direct_writes_invalidates_cache(self):
+    def test_direct_writes_show_in_next_snapshot(self):
         regs = RegisterFile()
-        first = regs.snapshot_state()
-        regs.note_direct_writes()   # engines mutate _gprs behind our back
-        assert regs.snapshot_state() is not first
+        regs.snapshot_state()
+        regs._gprs["rax"] = 5   # compiled steps write the dicts directly
+        regs.rflags = 0x40
+        snap = regs.snapshot_state()
+        assert snap.gprs["rax"] == 5
+        assert snap.rflags == 0x40
 
-    def test_restore_seeds_cache(self):
+    def test_restore_returns_state(self):
         from repro.asm.registers import get_register
 
         regs = RegisterFile()
         snap = regs.snapshot_state()
         regs.write(get_register("rbx"), 9)
         regs.restore_state(snap)
-        assert regs.snapshot_state() is snap   # restore == known state
         assert regs.read(get_register("rbx")) == 0
+        assert regs.snapshot_state() == snap
 
     def test_state_equals_matches_snapshot_semantics(self):
         from repro.asm.registers import get_register

@@ -1,8 +1,8 @@
 """Fused engine vs reference handlers: bit-identity differential.
 
-The fused engine (:mod:`repro.machine.translate`: superblocks with
-dead-flag elision over single steps, both rendered by one instruction
-emitter) is pure execution strategy — for any program, the reference
+The fused engine (:mod:`repro.machine.translate`: superblocks over single
+steps, both rendered by one instruction emitter and driven by one
+dispatch loop) is pure execution strategy — for any program, the reference
 handler loop is the semantic oracle and the fused engine must be
 indistinguishable from it: same :class:`RunResult`, same fault-site
 numbering, same fault-hook delivery (including ``executed_at_site``), same
@@ -12,6 +12,9 @@ is flipped mid-run. Every parity assertion here runs over all entries of
 a fused machine with every superblock removed, so each instruction of each
 program runs as its one-instruction step.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -336,3 +339,27 @@ class TestFusedSuperblocks:
                                    machine.halt_executed,
                                    machine.halt_sites))
             assert _all_equal(stamps), f"divergence at site {site}"
+
+
+class TestMachineLifetime:
+    @pytest.mark.parametrize("variant", ("raw", "dme"))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dropped_machine_freed_without_gc(self, engine, variant):
+        """No compiled step holds the machine, so dropping the last
+        reference frees it (and its steps) by reference counting alone."""
+        build = build_variants(get_workload(WORKLOAD_NAMES[0]).source_fn(),
+                               names=(variant,))
+        program = build[variant].asm
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            machine = Machine(program, engine=engine)
+            golden = machine.run()
+            machine.run(fault_hook=lambda m, instr, site: None,
+                        fault_at=golden.fault_sites // 2)
+            ref = weakref.ref(machine)
+            del machine
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
