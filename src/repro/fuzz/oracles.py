@@ -13,6 +13,10 @@ Each oracle checks one layer of the paper's claim chain:
   (deterministic site stride, fixed register/bit picks, checkpoint-style
   prefix sharing via :meth:`Machine.run_to_site`) finds no SDC in the
   hybrid/ferrum variants — the paper's coverage claim, sampled;
+* ``engine-agreement`` — the fused machine engine and the reference
+  handler loop agree on every variant's fault-free run; on hybrid/ferrum
+  they also agree on the register state at every fault site and on a
+  few strided single-bit flips (outcome, message and halt counters);
 * ``dme-divergence`` — the DME variant pair must be observably identical
   on a fault-free run: any lockstep disagreement between the primary and
   its structurally decorrelated twin on a generated program is a
@@ -34,6 +38,7 @@ from repro.errors import (
     DetectionExit,
     DmeDivergenceError,
     ExecutionLimitExceeded,
+    MachineError,
     MachineFault,
     ReproError,
 )
@@ -42,7 +47,7 @@ from repro.faultinjection.injector import FaultPlan, inject_asm_fault
 from repro.faultinjection.outcome import Outcome
 from repro.ir.interp import IRInterpreter
 from repro.ir.verifier import verify_module
-from repro.machine.cpu import Machine
+from repro.machine.cpu import ENGINES, Machine
 from repro.pipeline import VARIANTS, BuildResult, build_variants
 
 #: Instruction budget for oracle executions. Generated programs run a few
@@ -54,6 +59,9 @@ SOUNDNESS_PICKS = ((0.0, 0.03), (0.5, 0.55), (0.9, 0.9))
 
 #: Cap on distinct dynamic sites the soundness sweep injects at.
 SOUNDNESS_SITE_BUDGET = 24
+
+#: Strided flip sites the engine-agreement oracle runs on both engines.
+ENGINE_FLIP_SITES = 6
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,16 @@ class OracleVerdict:
     detail: str = ""
 
 
-def run_machine(asm, max_instructions: int = EXECUTION_BUDGET) -> ExecOutcome:
-    """Execute an assembly program, folding faults into a status."""
+def run_machine(asm, max_instructions: int = EXECUTION_BUDGET,
+                machine: Machine | None = None) -> ExecOutcome:
+    """Execute an assembly program, folding faults into a status.
+
+    ``machine``, a Machine already built for ``asm``, skips construction.
+    """
     try:
-        result = Machine(asm).run(max_instructions=max_instructions)
+        if machine is None:
+            machine = Machine(asm)
+        result = machine.run(max_instructions=max_instructions)
     except DetectionExit:
         return ExecOutcome("detected")
     except ExecutionLimitExceeded:
@@ -118,16 +132,25 @@ class Subject:
     config: FerrumConfig | None = None
     budget: int = EXECUTION_BUDGET
     build: BuildResult = field(init=False)
+    _machines: dict[str, Machine] = field(default_factory=dict)
     _machine_runs: dict[str, ExecOutcome] = field(default_factory=dict)
     _ir_run: ExecOutcome | None = None
 
     def __post_init__(self) -> None:
         self.build = build_variants(self.source, config=self.config)
 
+    def machine(self, variant: str) -> Machine:
+        """One default-engine Machine per variant, shared by the oracles
+        (``run`` resets it), so each variant is translated once."""
+        if variant not in self._machines:
+            self._machines[variant] = Machine(self.build[variant].asm)
+        return self._machines[variant]
+
     def machine_run(self, variant: str) -> ExecOutcome:
         if variant not in self._machine_runs:
             self._machine_runs[variant] = run_machine(
-                self.build[variant].asm, max_instructions=self.budget)
+                self.build[variant].asm, max_instructions=self.budget,
+                machine=self.machine(variant))
         return self._machine_runs[variant]
 
     def ir_run(self) -> ExecOutcome:
@@ -229,7 +252,7 @@ class FaultSoundnessOracle(Oracle):
                 # injecting into it would only produce noise.
                 continue
             program = subject.build[variant].asm
-            machine = Machine(program)
+            machine = subject.machine(variant)
             golden = machine.run(max_instructions=subject.budget)
             sites = golden.fault_sites
             stride = max(1, -(-sites // self.site_budget))
@@ -250,6 +273,83 @@ class FaultSoundnessOracle(Oracle):
                             f"bit_pick={bit_pick}) of {sites} sites",
                         )
         return self._verdict(True)
+
+
+def _engine_run(machine: Machine, budget: int, hook=None,
+                fault_at: int = -1):
+    """One run of ``machine``: its result, or the error and halt counters."""
+    try:
+        return ("ok", machine.run(max_instructions=budget, fault_hook=hook,
+                                  fault_at=fault_at))
+    except MachineError as exc:
+        return (type(exc).__name__, str(exc), machine.halt_executed,
+                machine.halt_sites)
+
+
+class EngineAgreementOracle(Oracle):
+    """The fused engine must be indistinguishable from the reference loop.
+
+    Every built variant's fault-free run must give an equal ``RunResult``
+    (or the same error and halt counters) on both engines. On hybrid and
+    ferrum, whose checks run the vector templates, a run hooked at every
+    fault site must also see the same register state at each site, which
+    exposes a wrong flag or lane no later instruction reads; and a few
+    strided single-bit flips must end identically. Each engine's machine
+    is built once per variant and reused, as a campaign reuses it; the
+    default engine's is the subject's shared one.
+    """
+
+    name = "engine-agreement"
+    variants = ("hybrid", "ferrum")
+
+    def check(self, subject: Subject) -> OracleVerdict:
+        for variant, built in subject.build.variants.items():
+            shared = subject.machine(variant)
+            machines = [shared if shared.engine == engine
+                        else Machine(built.asm, engine=engine)
+                        for engine in ENGINES]
+            runs = [_engine_run(m, subject.budget) for m in machines]
+            if runs[0] != runs[1]:
+                return self._verdict(
+                    False, f"{variant} clean run: {runs[0]} | {runs[1]}")
+            if variant in self.variants and runs[0][0] == "ok":
+                detail = self._check_sites(machines, runs[0][1],
+                                           subject.budget)
+                if detail:
+                    return self._verdict(False, f"{variant}: {detail}")
+        return self._verdict(True)
+
+    def _check_sites(self, machines, golden, budget: int) -> str:
+        traces = []
+        for machine in machines:
+            trace: list = []
+
+            def record(m, instr, site, trace=trace):
+                trace.append((site, m.executed_at_site,
+                              m.registers.snapshot()))
+
+            traces.append((_engine_run(machine, budget, hook=record), trace))
+        (end_a, trace_a), (end_b, trace_b) = traces
+        for a, b in zip(trace_a, trace_b):
+            if a != b:
+                return f"register state differs at site {a[0]}"
+        if end_a != end_b or len(trace_a) != len(trace_b):
+            return f"hooked run: {end_a} | {end_b}"
+
+        def flip(m, instr, site):
+            dest = instr.dest_registers()
+            reg = dest[site % len(dest)]
+            m.registers.flip(reg, (7 * site + 3) % reg.width)
+
+        flip_budget = max(golden.dynamic_instructions * 6, 10_000)
+        stride = max(1, -(-golden.fault_sites // ENGINE_FLIP_SITES))
+        for site in range(0, golden.fault_sites, stride):
+            outcomes = [_engine_run(m, flip_budget, flip, site)
+                        for m in machines]
+            if outcomes[0] != outcomes[1]:
+                return (f"flip at site {site}: {outcomes[0]} "
+                        f"| {outcomes[1]}")
+        return ""
 
 
 class DmeDivergenceOracle(Oracle):
@@ -286,6 +386,7 @@ def default_oracles() -> tuple[Oracle, ...]:
         VariantAgreementOracle(),
         StaticDisciplineOracle(),
         FaultSoundnessOracle(),
+        EngineAgreementOracle(),
         DmeDivergenceOracle(),
     )
 

@@ -32,6 +32,7 @@ from repro.fuzz.generator import GeneratorConfig, generate_program
 from repro.fuzz.oracles import (
     CrossLayerOracle,
     DmeDivergenceOracle,
+    EngineAgreementOracle,
     FaultSoundnessOracle,
     OracleVerdict,
     StaticDisciplineOracle,
@@ -146,6 +147,7 @@ def _reduction_predicate(oracle_name: str, ferrum_config):
         "variant-agreement": VariantAgreementOracle,
         "static-discipline": StaticDisciplineOracle,
         "fault-soundness": FaultSoundnessOracle,
+        "engine-agreement": EngineAgreementOracle,
         "dme-divergence": DmeDivergenceOracle,
     }
     # A "build" failure has no oracle object: an empty battery still

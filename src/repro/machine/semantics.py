@@ -116,9 +116,9 @@ def _exec_vec_movq(machine: "Machine", instr: Instruction) -> ControlEffect:
     rule) while the register file preserves the upper ymm lane.
     """
     src, dst = instr.operands
-    value = _read_operand(machine, src, 64 if not _is_vector_operand(src) else 64)
+    value = _read_operand(machine, src, 64)
     if _is_vector_operand(src):
-        value = machine.registers.read(src.register) & mask_for_width(64)
+        value &= mask_for_width(64)
     if _is_vector_operand(dst):
         xmm = get_register(f"xmm{dst.register.root[3:]}" if dst.register.width == 256
                            else dst.register.name)

@@ -37,11 +37,14 @@ instruction sharing it.
 one-instruction body followed by ``return NXT`` (a ``jcc`` ends in the same
 conditional return a superblock uses). ``idiv``, ``call``, ``ret`` and
 ``jmp`` keep small hand-written closures, and shapes the emitter does not
-cover (vector ops, deliberately malformed operands) wrap the reference
-handler. :func:`translate_fused` concatenates the bodies of whole basic
-blocks into single superblock bodies, and :func:`execute_fused`, one
-dispatch loop for every kind of run, single-steps wherever a fault site,
-stop target or budget boundary must be observed mid-block.
+cover (deliberately malformed operands, ``pextrq``) wrap the reference
+handler. FERRUM's vector checks (``movq`` to and from xmm, ``pinsrq``,
+``vinserti128``, ``vpxor``, ``vptest``) are rendered like any other
+instruction, so they fuse. :func:`translate_fused` concatenates the bodies
+of whole basic blocks into single superblock bodies, and
+:func:`execute_fused`, one dispatch loop for every kind of run,
+single-steps wherever a fault site, stop target or budget boundary must be
+observed mid-block.
 
 Bit-identity contract: for any program, input, fault plan, snapshot or
 budget, the fused engine produces exactly the same ``RunResult``,
@@ -50,7 +53,7 @@ halt-counter stamps as the reference engine — including the *order* of
 operand reads, register updates and faulting accesses within one
 instruction. See the fusion section below and ``docs/performance.md``.
 
-Closures capture the machine's register-file dict, memory accessors and
+Closures capture the machine's register-file dicts, memory accessors and
 segment buffers directly; :class:`~repro.machine.state.RegisterFile` and
 :class:`~repro.machine.memory.Memory` guarantee those objects are
 identity-stable across resets and snapshot restores. No closure captures
@@ -86,6 +89,7 @@ _FELL_OFF = -2
 
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
+_M128 = (1 << 128) - 1
 
 _CF = 1 << flg.CF_BIT
 _ZF = 1 << flg.ZF_BIT
@@ -144,6 +148,12 @@ _EXEC_GLOBALS = {
     "_CZ": _CZ,
     "_CFOF": _CFOF,
     "_M64": _M64,
+    # Vector-lane masks: everything above the xmm lane, and everything but
+    # 64-bit lane 0 or 1 of it (negative, as the reference's ``& ~mask``).
+    "_M128": _M128,
+    "_NOT128": ~_M128,
+    "_NOTQ0": ~_M64,
+    "_NOTQ1": ~(_M64 << 64),
     # Little-endian fixed-width codecs for the inlined memory fast path
     # (one C call instead of segment lookup + slicing).
     "_U1": _struct.Struct("<B").unpack_from,
@@ -386,7 +396,7 @@ def _alu_guard(src, dst, width) -> bool:
 def _emit_mov(instr, width, j, env):
     src, dst = instr.operands
     if _is_vector_op(src) or _is_vector_op(dst):
-        return None
+        return _emit_movq(instr, j, env)
     la, ea = _read_op(src, width, 2 * j, env, bounded=True)
     if la is None:
         return None
@@ -682,6 +692,93 @@ def _emit_pop(instr, j, env):
     ]
 
 
+# FERRUM's vector checks. Vector roots live in ``V`` (the register file's
+# ``_vectors``) and always hold values below 2**256, because every
+# RegisterFile write masks; the reference's 256-bit read and write masks
+# are therefore no-ops and the templates omit them. An xmm write keeps the
+# upper ymm lane, as ``RegisterFile.write`` does. Root cells are named
+# ``QA{j}``/``QB{j}`` (sources) and ``QD{j}`` (destination).
+
+
+def _vec_root(op, width, name, env) -> bool:
+    """Bind ``op``'s root to ``name`` if it is a ``width``-bit vector reg."""
+    if not (_is_vector_op(op) and op.register.width == width):
+        return False
+    env[name] = op.register.root
+    return True
+
+
+def _emit_movq(instr, j, env):
+    """``movq``/``vmovq`` with an xmm side (``semantics._exec_vec_movq``).
+
+    The source is read as 64 bits; an xmm destination gets them in lane 0
+    with bits 64..127 cleared, whatever the width its operand names.
+    """
+    src, dst = instr.operands
+    if _is_vector_op(src):
+        env[f"QA{j}"] = src.register.root
+        la, ea = [], f"(V[QA{j}] & _M64)"
+    else:
+        la, ea = _read_op(src, 64, 2 * j, env)
+        if la is None:
+            return None
+    if _is_vector_op(dst):
+        env[f"QD{j}"] = dst.register.root
+        return [*la, f"V[QD{j}] = (V[QD{j}] & _NOT128) | {ea}"]
+    lw = _write_op(dst, 64, 2 * j + 1, env, ea)
+    if lw is None:
+        return None
+    return [*la, *lw]
+
+
+def _emit_pinsrq(instr, j, env):
+    imm, src, dst = instr.operands
+    if not (isinstance(imm, Imm) and imm.value in (0, 1)):
+        return None  # reference handler raises IllegalInstructionError
+    if not _vec_root(dst, 128, f"QD{j}", env):
+        return None
+    la, ea = _read_op(src, 64, 2 * j, env)
+    if la is None:
+        return None
+    if imm.value == 0:
+        return [*la, f"V[QD{j}] = (V[QD{j}] & _NOTQ0) | {ea}"]
+    return [*la, f"V[QD{j}] = (V[QD{j}] & _NOTQ1) | ({ea} << 64)"]
+
+
+def _emit_vinserti128(instr, j, env):
+    imm, xsrc, ysrc, ydst = instr.operands
+    if not (isinstance(imm, Imm) and imm.value in (0, 1)):
+        return None
+    if not (_vec_root(xsrc, 128, f"QA{j}", env)
+            and _vec_root(ysrc, 256, f"QB{j}", env)
+            and _vec_root(ydst, 256, f"QD{j}", env)):
+        return None
+    if imm.value == 0:
+        return [f"V[QD{j}] = (V[QB{j}] & _NOT128) | (V[QA{j}] & _M128)"]
+    return [f"V[QD{j}] = (V[QB{j}] & _M128) | ((V[QA{j}] & _M128) << 128)"]
+
+
+def _emit_vpxor(instr, j, env):
+    src1, src2, dst = instr.operands
+    if not (_vec_root(src1, 256, f"QA{j}", env)
+            and _vec_root(src2, 256, f"QB{j}", env)
+            and _vec_root(dst, 256, f"QD{j}", env)):
+        return None
+    return [f"V[QD{j}] = V[QA{j}] ^ V[QB{j}]"]
+
+
+def _emit_vptest(instr, j, env):
+    src1, src2 = instr.operands
+    if not (_vec_root(src1, 256, f"QA{j}", env)
+            and _vec_root(src2, 256, f"QB{j}", env)):
+        return None
+    return [
+        f"a = V[QA{j}]",
+        f"b = V[QB{j}]",
+        "R.rflags = (0 if a & b else _ZF) | (0 if a & ~b else _CF)",
+    ]
+
+
 def _instr_lines(instr, j, env) -> list[str] | None:
     """Body statements for one instruction (``None`` = not emitted).
 
@@ -714,6 +811,18 @@ def _instr_lines(instr, j, env) -> list[str] | None:
         return _emit_pop(instr, j, env)
     if kind is InstrKind.NOP:
         return []
+    if kind is InstrKind.VECMOV:
+        if instr.mnemonic == "vmovq":
+            return _emit_movq(instr, j, env)
+        if instr.mnemonic == "pinsrq":
+            return _emit_pinsrq(instr, j, env)
+        return None  # pextrq: FERRUM never emits it
+    if kind is InstrKind.VECINSERT:
+        return _emit_vinserti128(instr, j, env)
+    if kind is InstrKind.VECALU:
+        return _emit_vpxor(instr, j, env)
+    if kind is InstrKind.VECTEST:
+        return _emit_vptest(instr, j, env)
     return None
 
 
@@ -828,9 +937,10 @@ def _steps_call(cell, pc, nxt, entry_pc, builtin_fn, gprs, memory):
 def _steps_generic(cell, instr, nxt, target_pc):
     """Reference-handler fallback for shapes outside the fast paths.
 
-    Vector instructions and deliberately malformed operand shapes execute
-    through the exact reference semantics, so specialization can never
-    change behaviour — only speed. ``target_pc`` is the pre-resolved jump
+    Deliberately malformed operand shapes (a vector lane other than 0 or
+    1, a ymm ``pinsrq`` destination, xmm ``vpxor``/``vptest`` operands)
+    and ``pextrq`` execute through the exact reference semantics, so
+    specialization can never change behaviour — only speed. ``target_pc`` is the pre-resolved jump
     target for branch kinds (unused by straight-line instructions).
     """
     handler = handler_for(instr)
@@ -854,7 +964,8 @@ def _steps_generic(cell, instr, nxt, target_pc):
 def _base_env(machine: "Machine") -> dict:
     """Live state an emitted body may bind as closure cells.
 
-    The register file, the memory accessors and, for the inlined memory
+    The register file and its GPR and vector dicts, the memory accessors
+    and, for the inlined memory
     fast path, each segment's start, end, backing bytearray and dirty-set
     ``add``. All are identity-stable across resets and snapshot restores
     (see :mod:`repro.machine.memory`), so capturing them at translation
@@ -864,6 +975,7 @@ def _base_env(machine: "Machine") -> dict:
     memory = machine.memory
     env = {
         "g": registers._gprs,
+        "V": registers._vectors,
         "R": registers,
         "rd": memory.read_uint,
         "wr": memory.write_uint,
@@ -933,7 +1045,7 @@ def translate_program(machine: "Machine") -> TranslatedCode:
 # Bit-identity is preserved by construction:
 #
 # * blocks are cut at every instruction the emitter did not render (calls,
-#   returns, ``idiv``, vector ops, malformed shapes) — those execute through
+#   returns, ``idiv``, malformed shapes) — those execute through
 #   their single steps, which the fused code object retains in full, as it
 #   does every other instruction's;
 # * a block only runs fused when no observable event can occur inside it:

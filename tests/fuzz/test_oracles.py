@@ -6,6 +6,7 @@ from repro.asm.operands import Imm
 from repro.fuzz.generator import generate_program
 from repro.fuzz.oracles import (
     DmeDivergenceOracle,
+    EngineAgreementOracle,
     ExecOutcome,
     FaultSoundnessOracle,
     Subject,
@@ -59,7 +60,7 @@ class TestCleanPrograms:
         verdicts = run_oracles(GOOD_SOURCE)
         assert [v.oracle for v in verdicts] == [
             "cross-layer", "variant-agreement", "static-discipline",
-            "fault-soundness", "dme-divergence",
+            "fault-soundness", "engine-agreement", "dme-divergence",
         ]
         assert all(v.passed for v in verdicts), verdicts
 
@@ -137,6 +138,32 @@ class TestPlantedDefects:
         verdict = FaultSoundnessOracle(variants=("raw",)).check(subject)
         assert not verdict.passed
         assert "SDC at site" in verdict.detail
+
+    def test_engine_agreement_catches_planted_vptest_flag_bug(
+            self, monkeypatch):
+        # A vptest template with CF inverted. FERRUM's check branch reads
+        # only ZF, so no run's result changes: only the register state the
+        # oracle compares at every fault site can show it.
+        import repro.machine.translate as translate
+
+        real = translate._emit_vptest
+
+        def planted(instr, j, env):
+            lines = real(instr, j, env)
+            if lines is None:
+                return None
+            wrong = lines[-1].replace("0 if a & ~b else _CF",
+                                      "_CF if a & ~b else 0")
+            assert wrong != lines[-1], "CF template not found"
+            return [*lines[:-1], wrong]
+
+        assert EngineAgreementOracle().check(Subject(GOOD_SOURCE)).passed
+        monkeypatch.setattr(translate, "_emit_vptest", planted)
+        # A fresh subject: its machines translate with the planted template.
+        verdict = EngineAgreementOracle().check(Subject(GOOD_SOURCE))
+        assert not verdict.passed
+        assert "ferrum" in verdict.detail
+        assert "register state differs" in verdict.detail
 
     def test_fault_soundness_clean_on_protected(self):
         subject = Subject(GOOD_SOURCE)

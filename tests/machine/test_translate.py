@@ -10,7 +10,8 @@ snapshots, and the same faults/detections with the same messages when a bit
 is flipped mid-run. Every parity assertion here runs over all entries of
 ``ENGINES``; the clean-run and mid-run-fault ones also over ``blocks-off``,
 a fused machine with every superblock removed, so each instruction of each
-program runs as its one-instruction step.
+program runs as its one-instruction step. FERRUM's vector checks get
+hand-written programs of their own, one per template shape.
 """
 
 import gc
@@ -18,11 +19,14 @@ import weakref
 
 import pytest
 
+from repro.asm.instructions import InstrKind
+from repro.asm.parser import parse_program
 from repro.errors import EngineConfigError, MachineError, MachineFault
 from repro.fuzz.generator import generate_program
 from repro.machine.cpu import ENGINE_ENV_VAR, ENGINES, Machine
 from repro.machine.timing import TimingConfig
-from repro.machine.translate import translate_fused
+from repro.machine.translate import translate_fused, translate_program
+from repro.pipeline import VARIANTS as ALL_VARIANTS
 from repro.pipeline import build_variants
 from repro.workloads.registry import all_workloads, get_workload
 
@@ -363,3 +367,205 @@ class TestMachineLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+
+def _snippet(body):
+    """``main`` running ``body`` (one instruction a line), then returning 0."""
+    lines = [line.strip() for line in body.strip().splitlines()]
+    return parse_program("\t.globl main\nmain:\n"
+                         + "".join(f"\t{line}\n" for line in lines if line)
+                         + "\tmovl $0, %eax\n\tretq\n")
+
+
+def _end_states(program, **kwargs):
+    """Per case: result and final registers, or the error and halt stamps."""
+    out = {}
+    for case in CASES:
+        machine = _machine(program, case)
+        try:
+            out[case] = ("ok", machine.run(**kwargs),
+                         machine.registers.snapshot())
+        except MachineError as exc:
+            out[case] = (type(exc).__name__, str(exc),
+                         machine.halt_executed, machine.halt_sites)
+    return out
+
+
+M64 = (1 << 64) - 1
+RCX = 0xFEDCBA9876543210
+RDX = 0x123456789ABCDEF0
+RSI = M64
+R8 = 0x5555555555555555
+
+#: ymm0 = [rcx, rdx | rcx, rdx] and ymm1 = [rsi, r8 | rsi, r8] (64-bit
+#: lanes, low first), rcx/rdx also at -8/-16(%rsp); ymm3 stays zero.
+VECTOR_PRELUDE = f"""
+    movq ${RCX - (1 << 64)}, %rcx
+    movq ${RDX}, %rdx
+    movq $-1, %rsi
+    movq ${R8}, %r8
+    movq %rcx, -8(%rsp)
+    movq %rdx, -16(%rsp)
+    movq %rcx, %xmm0
+    pinsrq $1, %rdx, %xmm0
+    vinserti128 $1, %xmm0, %ymm0, %ymm0
+    movq %rsi, %xmm1
+    pinsrq $1, %r8, %xmm1
+    vinserti128 $1, %xmm1, %ymm1, %ymm1
+"""
+YMM0 = RCX | RDX << 64 | RCX << 128 | RDX << 192
+YMM1 = RSI | R8 << 64 | RSI << 128 | R8 << 192
+
+#: name -> (instructions after the prelude, {root: expected final value}).
+VECTOR_SHAPES = {
+    "movq-gpr-xmm": ("movq %r8, %xmm0",
+                     {"ymm0": R8 | RCX << 128 | RDX << 192}),
+    "movq-gpr32-xmm": ("movq %esi, %xmm1",
+                       {"ymm1": 0xFFFFFFFF | RSI << 128 | R8 << 192}),
+    "movq-gpr-ymm-name": ("movq %r8, %ymm0",
+                          {"ymm0": R8 | RCX << 128 | RDX << 192}),
+    "movq-mem-xmm": ("movq -16(%rsp), %xmm1",
+                     {"ymm1": RDX | RSI << 128 | R8 << 192}),
+    "movq-mem-xmm-heap-miss": ("leaq -8(%rsp), %rax\nmovq (%rax), %xmm1",
+                               {"ymm1": RCX | RSI << 128 | R8 << 192}),
+    "movq-xmm-gpr": ("movq %xmm0, %r9", {"r9": RCX}),
+    "movq-ymm-gpr32": ("movq %ymm1, %r9d", {"r9": 0xFFFFFFFF}),
+    "movq-xmm-mem": ("movq %xmm1, -24(%rsp)\nmovq -24(%rsp), %r9",
+                     {"r9": RSI}),
+    "movq-xmm-xmm": ("movq %xmm1, %xmm0",
+                     {"ymm0": RSI | RCX << 128 | RDX << 192}),
+    "vmovq": ("vmovq %r8, %xmm1\nvmovq %xmm0, %r9",
+              {"ymm1": R8 | RSI << 128 | R8 << 192, "r9": RCX}),
+    "pinsrq-lane0": ("pinsrq $0, %r8, %xmm0",
+                     {"ymm0": R8 | RDX << 64 | RCX << 128 | RDX << 192}),
+    "pinsrq-lane1": ("pinsrq $1, %rsi, %xmm0",
+                     {"ymm0": RCX | RSI << 64 | RCX << 128 | RDX << 192}),
+    "pinsrq-mem-lane0": ("pinsrq $0, -16(%rsp), %xmm1",
+                         {"ymm1": RDX | R8 << 64 | RSI << 128 | R8 << 192}),
+    "pinsrq-mem-lane1": ("pinsrq $1, -8(%rsp), %xmm1",
+                         {"ymm1": RSI | RCX << 64 | RSI << 128 | R8 << 192}),
+    "pinsrq-imm": ("pinsrq $1, $7, %xmm3", {"ymm3": 7 << 64}),
+    "vinserti128-lane0": ("vinserti128 $0, %xmm1, %ymm0, %ymm2",
+                          {"ymm2": RSI | R8 << 64 | RCX << 128 | RDX << 192}),
+    "vinserti128-lane1": ("vinserti128 $1, %xmm1, %ymm0, %ymm2",
+                          {"ymm2": RCX | RDX << 64 | RSI << 128 | R8 << 192}),
+    "vinserti128-in-place": ("vinserti128 $0, %xmm0, %ymm1, %ymm1",
+                             {"ymm1": YMM0 & ((1 << 128) - 1)
+                              | (YMM1 >> 128) << 128}),
+    "vpxor": ("vpxor %ymm0, %ymm1, %ymm2", {"ymm2": YMM0 ^ YMM1}),
+    "vpxor-self": ("vpxor %ymm0, %ymm0, %ymm0", {"ymm0": 0}),
+    # vptest a, b: ZF = (a & b) == 0, CF = (a & ~b) == 0.
+    "vptest-zf-cf": ("vptest %ymm3, %ymm3", {"rflags": 0x41}),
+    "vptest-cf": ("vptest %ymm0, %ymm0", {"rflags": 0x01}),
+    "vptest-zf": ("vptest %ymm0, %ymm3", {"rflags": 0x40}),
+    "vptest-none": ("vptest %ymm0, %ymm1", {"rflags": 0x00}),
+    "vptest-upper-lane-only": (
+        "vinserti128 $1, %xmm1, %ymm3, %ymm4\nvptest %ymm4, %ymm4",
+        {"rflags": 0x01}),
+}
+
+#: name -> (a faulting instruction placed after the prelude).
+VECTOR_FAULTS = {
+    "movq-mem-xmm": "movq 16, %xmm0",
+    "movq-mem-xmm-heap": "movq $16, %rax\nmovq (%rax), %xmm0",
+    "movq-xmm-mem": "movq %xmm0, 16",
+    "pinsrq-mem-lane0": "pinsrq $0, 16, %xmm1",
+    "pinsrq-mem-lane1": "pinsrq $1, 24(%rcx), %xmm1",
+}
+
+#: Shapes the emitter leaves to the reference handler.
+VECTOR_MALFORMED = {
+    "pinsrq-lane2": ("pinsrq $2, %rcx, %xmm0", "pinsrq lane must be"),
+    "pinsrq-ymm-dest": ("pinsrq $0, %rcx, %ymm0", "destination must be"),
+    "vinserti128-lane2": ("vinserti128 $2, %xmm1, %ymm0, %ymm0",
+                          "vinserti128 lane must be"),
+    "vpxor-xmm": ("vpxor %xmm0, %xmm1, %xmm2", None),
+    "vptest-xmm": ("vptest %xmm0, %xmm1", None),
+}
+
+
+class TestVectorTemplates:
+    """FERRUM's vector checks render in the one emitter and fuse; every
+    engine must agree on them to the bit, the reference included."""
+
+    @pytest.mark.parametrize("name", VECTOR_SHAPES)
+    def test_shape_parity(self, name):
+        body, expected = VECTOR_SHAPES[name]
+        program = _snippet(VECTOR_PRELUDE + body)
+        states = _end_states(program)
+        assert _all_equal(states.values()), states
+        status, _, registers = states["reference"]
+        assert status == "ok"
+        for root, value in expected.items():
+            assert registers[root] == value, f"{root}: {registers[root]:#x}"
+        # Straight-line up to the final ``retq``: all of it is emitted.
+        emitted = translate_program(Machine(program, engine="fused")).emitted
+        assert all(emitted[:-1])
+
+    @pytest.mark.parametrize("name", VECTOR_SHAPES)
+    def test_flips_at_every_site(self, name):
+        """A flip after each site, in a vector lane where the destination
+        is a vector, ends identically on every engine."""
+        program = _snippet(VECTOR_PRELUDE + VECTOR_SHAPES[name][0])
+        golden = Machine(program).run()
+        for site in range(golden.fault_sites):
+
+            def hook(m, instr, s):
+                reg = instr.dest_registers()[0]
+                m.registers.flip(reg, (61 * s + 5) % reg.width)
+
+            states = _end_states(program, fault_hook=hook, fault_at=site)
+            assert _all_equal(states.values()), f"site {site}: {states}"
+
+    @pytest.mark.parametrize("name", VECTOR_FAULTS)
+    def test_memory_fault_stamps(self, name):
+        """A faulting memory form inside a fused block stamps the same
+        ``halt_executed``/``halt_sites`` as a single step and the
+        reference."""
+        body = VECTOR_FAULTS[name]
+        program = _snippet(VECTOR_PRELUDE + body)
+        states = _end_states(program)
+        assert _all_equal(states.values()), states
+        kind, _, executed, sites = states["reference"]
+        assert kind == "SegmentationFault"
+        code = list(program.functions[0].instructions())
+        fault_pc = len(VECTOR_PRELUDE.strip().splitlines()) + body.count("\n")
+        assert executed == fault_pc
+        assert sites == sum(bool(i.dest_registers()) for i in code[:fault_pc])
+        fused = translate_fused(Machine(program, engine="fused"))
+        assert fused.fused_len[0] > fault_pc  # the fault is mid-block
+
+    @pytest.mark.parametrize("name", VECTOR_MALFORMED)
+    def test_malformed_shapes_fall_back(self, name):
+        body, message = VECTOR_MALFORMED[name]
+        program = _snippet(VECTOR_PRELUDE + body)
+        states = _end_states(program)
+        assert _all_equal(states.values()), states
+        if message is None:
+            assert states["reference"][0] == "ok"
+        else:
+            kind, text, _, _ = states["reference"]
+            assert kind == "IllegalInstructionError" and message in text
+        pc = len(VECTOR_PRELUDE.strip().splitlines())
+        emitted = translate_program(Machine(program, engine="fused")).emitted
+        assert not emitted[pc]
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_every_workload_instruction_emitted(name):
+    """Every straight-line instruction of every variant of every registry
+    workload renders in the emitter, FERRUM's vector checks included; only
+    control transfers and ``idiv`` keep their own steps."""
+    build = build_variants(get_workload(name).source_fn(), names=ALL_VARIANTS)
+    own_steps = (InstrKind.CALL, InstrKind.RET, InstrKind.JMP, InstrKind.JCC,
+                 InstrKind.IDIV)
+    for variant in ALL_VARIANTS:
+        program = build[variant].asm
+        for part in (program, getattr(program, "secondary", None)):
+            if part is None:
+                continue
+            machine = Machine(part, engine="fused")
+            emitted = translate_program(machine).emitted
+            missing = {str(instr) for pc, instr in enumerate(machine._code)
+                       if instr.kind not in own_steps and not emitted[pc]}
+            assert not missing, f"{variant}: {sorted(missing)[:5]}"
