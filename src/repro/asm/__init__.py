@@ -3,7 +3,8 @@
 This subpackage models the slice of x86-64 (AT&T syntax) that the backend
 emits and the protection transforms manipulate: registers with sub-register
 aliasing, operands, instructions with per-mnemonic metadata, a text
-parser/printer pair, a program/CFG representation, and liveness analysis.
+parser/printer pair, a program/CFG representation, and per-instruction
+register use/def sets.
 """
 
 from repro.asm.instructions import Instruction, InstrSpec, get_spec

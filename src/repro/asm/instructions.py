@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.asm.operands import LabelRef, Mem, Operand, Reg
 from repro.asm.registers import FLAGS, Register, get_register
@@ -56,7 +55,7 @@ class InstrKind(enum.Enum):
 
     @property
     def is_branch(self) -> bool:
-        return self in (InstrKind.JMP, InstrKind.JCC, InstrKind.CALL, InstrKind.RET)
+        return self in _BRANCH_KINDS
 
     @property
     def is_vector(self) -> bool:
@@ -67,6 +66,10 @@ class InstrKind(enum.Enum):
             InstrKind.VECTEST,
         )
 
+
+#: Bound once: looking members up on the Enum class costs more than the
+#: test itself, and the fused engine cuts blocks at every branch.
+_BRANCH_KINDS = (InstrKind.JMP, InstrKind.JCC, InstrKind.CALL, InstrKind.RET)
 
 #: Condition codes supported by ``set<cc>``/``j<cc>``.
 CONDITION_CODES: tuple[str, ...] = (
@@ -370,8 +373,3 @@ def ins(mnemonic: str, *operands: Operand, comment: str | None = None,
         origin: str = "orig") -> Instruction:
     """Shorthand constructor used heavily by the backend and transforms."""
     return Instruction(mnemonic, tuple(operands), comment=comment, origin=origin)
-
-
-def iter_instructions(seq: Iterable[Instruction]) -> Iterable[Instruction]:
-    """Identity iterator, kept for symmetric naming with program helpers."""
-    return iter(seq)

@@ -1,4 +1,4 @@
-"""Register liveness analysis over assembly CFGs.
+"""Per-instruction register use/def sets and RFLAGS must-def bits.
 
 Works at register-*root* granularity (``eax`` and ``rax`` are one node), the
 granularity the protection transforms reason at: a spare register must be
@@ -7,16 +7,13 @@ dead as a whole 64-bit (or 256-bit) entity.
 Calls are modeled with the SysV convention: a call reads the argument
 registers and clobbers the caller-saved set. This is conservative for the
 -O0 backend (which passes at most six integer arguments) and keeps the
-analysis intraprocedural.
+analyses built on these sets intraprocedural.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.asm.instructions import Instruction, InstrKind
 from repro.asm.operands import Imm
-from repro.asm.program import AsmBlock, AsmFunction
 from repro.asm.registers import ARG_GPRS, CALLEE_SAVED, GPR64
 from repro.machine.flags import CF_BIT, OF_BIT, PF_BIT, SF_BIT, ZF_BIT
 
@@ -95,25 +92,6 @@ def _shift_count(instr: Instruction) -> int | None:
     return None
 
 
-def flag_bits_read(instr: Instruction) -> frozenset[int]:
-    """RFLAGS bits ``instr`` consumes.
-
-    ``jcc``/``setcc`` read their condition's bits; ``inc``/``dec`` read CF
-    (they must preserve it through the read-modify-write of RFLAGS).
-    ``call``/``ret`` conservatively read every bit — flags could in
-    principle be consumed after the control transfer, and keeping that
-    assumption makes the analysis safely intraprocedural.
-    """
-    kind = instr.kind
-    if kind in (InstrKind.JCC, InstrKind.SETCC):
-        return CC_READS[instr.spec.cc or ""]
-    if kind is InstrKind.UNARY and instr.mnemonic[:3] in ("inc", "dec"):
-        return frozenset({CF_BIT})
-    if kind in (InstrKind.CALL, InstrKind.RET):
-        return ALL_FLAG_BITS
-    return _NO_BITS
-
-
 def flag_bits_written(instr: Instruction) -> frozenset[int]:
     """RFLAGS bits ``instr`` *always* overwrites (must-def, not may-def).
 
@@ -136,91 +114,3 @@ def flag_bits_written(instr: Instruction) -> frozenset[int]:
             return _NON_CF_BITS
         return _NO_BITS  # not: flags untouched
     return _NO_BITS
-
-
-def instruction_uses_with_flags(instr: Instruction) -> frozenset[str]:
-    """:func:`instruction_uses` extended with an ``rflags`` pseudo-root."""
-    uses = instruction_uses(instr)
-    if flag_bits_read(instr):
-        return uses | {"rflags"}
-    return uses
-
-
-def instruction_defs_with_flags(instr: Instruction) -> frozenset[str]:
-    """:func:`instruction_defs` extended with an ``rflags`` pseudo-root.
-
-    ``rflags`` is reported as defined only when the instruction overwrites
-    *all five* modeled bits — partial writers (``inc``/``dec``) cannot kill
-    the root as a whole.
-    """
-    defs = instruction_defs(instr)
-    if flag_bits_written(instr) == ALL_FLAG_BITS:
-        return defs | {"rflags"}
-    return defs
-
-
-@dataclass
-class LivenessResult:
-    """Per-block live-in/live-out sets of register roots."""
-
-    live_in: dict[str, frozenset[str]] = field(default_factory=dict)
-    live_out: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def live_at_entry(self, label: str) -> frozenset[str]:
-        return self.live_in.get(label, frozenset())
-
-    def live_at_exit(self, label: str) -> frozenset[str]:
-        return self.live_out.get(label, frozenset())
-
-
-def _block_use_def(block: AsmBlock) -> tuple[frozenset[str], frozenset[str]]:
-    """(upward-exposed uses, defs) for a basic block."""
-    uses: set[str] = set()
-    defs: set[str] = set()
-    for instr in block.instructions:
-        for root in instruction_uses(instr):
-            if root not in defs:
-                uses.add(root)
-        defs.update(instruction_defs(instr))
-    return frozenset(uses), frozenset(defs)
-
-
-def compute_liveness(func: AsmFunction) -> LivenessResult:
-    """Classic backward may-liveness to a fixpoint over the function CFG."""
-    use_def = {blk.label: _block_use_def(blk) for blk in func.blocks}
-    live_in: dict[str, frozenset[str]] = {blk.label: frozenset() for blk in func.blocks}
-    live_out: dict[str, frozenset[str]] = {blk.label: frozenset() for blk in func.blocks}
-    order = list(reversed(func.blocks))
-
-    changed = True
-    while changed:
-        changed = False
-        for blk in order:
-            out: set[str] = set()
-            for succ in func.successors(blk):
-                out.update(live_in.get(succ, frozenset()))
-            uses, defs = use_def[blk.label]
-            new_in = uses | (frozenset(out) - defs)
-            if frozenset(out) != live_out[blk.label] or new_in != live_in[blk.label]:
-                live_out[blk.label] = frozenset(out)
-                live_in[blk.label] = new_in
-                changed = True
-    return LivenessResult(live_in, live_out)
-
-
-def live_before_each(
-    block: AsmBlock, live_out: frozenset[str]
-) -> list[frozenset[str]]:
-    """Live sets immediately *before* each instruction of ``block``.
-
-    Computed by walking backwards from ``live_out``; index ``i`` of the
-    result corresponds to ``block.instructions[i]``.
-    """
-    result: list[frozenset[str]] = [frozenset()] * len(block.instructions)
-    live = set(live_out)
-    for i in range(len(block.instructions) - 1, -1, -1):
-        instr = block.instructions[i]
-        live -= instruction_defs(instr)
-        live |= instruction_uses(instr)
-        result[i] = frozenset(live)
-    return result

@@ -52,10 +52,6 @@ class Register:
         return f"%{self.name}"
 
     @property
-    def is_gpr(self) -> bool:
-        return self.kind is RegisterKind.GPR
-
-    @property
     def is_vector(self) -> bool:
         return self.kind is RegisterKind.VECTOR
 

@@ -74,10 +74,6 @@ class TransformError(ReproError):
     """Raised when a protection transform cannot be applied."""
 
 
-class SpareRegisterError(TransformError):
-    """Raised when a transform cannot find the registers it needs."""
-
-
 class MachineError(ReproError):
     """Base class for machine-simulator errors."""
 
@@ -140,10 +136,6 @@ class JournalError(ReproError):
 
 class ServiceError(ReproError):
     """Raised by the durable campaign service (bad spec, state mismatch...)."""
-
-
-class EvaluationError(ReproError):
-    """Raised by the evaluation/experiment harness."""
 
 
 class WorkloadError(ReproError):

@@ -114,8 +114,3 @@ def builtin_names() -> tuple[str, ...]:
 def get_builtin(name: str) -> Callable[["Machine"], int]:
     """The builtin callable itself, for pre-resolution at program load."""
     return _BUILTINS[name]
-
-
-def call_builtin(machine: "Machine", name: str) -> int:
-    """Execute builtin ``name``; returns the value to place in ``rax``."""
-    return _BUILTINS[name](machine)

@@ -132,6 +132,11 @@ class Machine:
         Both engines are bit-identical in results, fault-site numbering,
         counters, snapshots and telemetry; timing-model runs always execute
         on the reference loop, which observes per-access memory traffic.
+
+        Loading checks every instruction's operand shape once
+        (``semantics.check_shape``, through ``handler_for``): a shape
+        outside the modeled subset raises ``IllegalInstructionError`` here,
+        on both engines, and neither engine re-checks it at run time.
         """
         validate_program(program)
         self.program = program
@@ -157,7 +162,8 @@ class Machine:
                 for instr in block.instructions:
                     self._code.append(instr)
                     self._func_of.append(func.name)
-        # Fast-path caches: handler and fault-site flag per code index.
+        # Fast-path caches: handler and fault-site flag per code index;
+        # resolving a handler checks the instruction's operand shape.
         from repro.machine.semantics import handler_for
 
         self._handlers = [handler_for(instr) for instr in self._code]

@@ -1,10 +1,16 @@
-"""Per-instruction execution semantics.
+"""Per-instruction execution semantics and the load-time shape check.
 
-:func:`execute` interprets one instruction against a :class:`Machine`'s
-architectural state and returns a :class:`ControlEffect` describing what the
-fetch loop should do next. All values are unsigned Python ints masked to
-their width; signedness enters only where x86 defines it (idiv, sign
-extensions, SF/OF computation).
+:func:`handler_for` resolves, once per static instruction, the handler that
+interprets it against a :class:`Machine`'s architectural state and returns a
+:class:`ControlEffect` describing what the fetch loop should do next. All
+values are unsigned Python ints masked to their width; signedness enters
+only where x86 defines it (idiv, sign extensions, SF/OF computation).
+
+Which operand *shapes* the machine executes is decided here, once, by
+:func:`check_shape`: :func:`handler_for` calls it, so a shape outside the
+modeled subset fails with :class:`IllegalInstructionError` when a
+:class:`Machine` loads the program, on every engine. The handlers below and
+the fused engine's emitter (:mod:`repro.machine.translate`) assume it.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.asm.instructions import Instruction, InstrKind
+from repro.asm.instructions import Instruction, InstrKind, get_spec, known_mnemonics
 from repro.asm.operands import Imm, Mem, Operand, Reg
-from repro.asm.registers import Register, RegisterKind, get_register
+from repro.asm.printer import format_instruction
+from repro.asm.registers import RegisterKind, get_register
 from repro.errors import IllegalInstructionError, MachineFault
 from repro.machine import flags as flg
 from repro.utils.bitops import (
@@ -35,6 +42,9 @@ _EAX = get_register("eax")
 _RDX = get_register("rdx")
 _EDX = get_register("edx")
 _CL = get_register("cl")
+# Enum members bound once: a class attribute lookup on an Enum is slow,
+# and the shape check runs for every static instruction.
+_GPR, _VECTOR = RegisterKind.GPR, RegisterKind.VECTOR
 
 
 class Flow(enum.Enum):
@@ -76,27 +86,22 @@ def _read_operand(machine: "Machine", op: Operand, width: int) -> int:
         return to_unsigned(op.value, width)
     if isinstance(op, Reg):
         return machine.registers.read(op.register)
-    if isinstance(op, Mem):
-        addr = _effective_address(machine, op)
-        machine.note_mem_read(addr, width // 8)
-        return machine.memory.read_uint(addr, width // 8)
-    raise IllegalInstructionError(f"cannot read operand {op}")
+    addr = _effective_address(machine, op)  # type: ignore[arg-type]
+    machine.note_mem_read(addr, width // 8)
+    return machine.memory.read_uint(addr, width // 8)
 
 
 def _write_operand(machine: "Machine", op: Operand, value: int, width: int) -> None:
     if isinstance(op, Reg):
         machine.registers.write(op.register, to_unsigned(value, width))
         return
-    if isinstance(op, Mem):
-        addr = _effective_address(machine, op)
-        machine.note_mem_write(addr, width // 8)
-        machine.memory.write_uint(addr, value, width // 8)
-        return
-    raise IllegalInstructionError(f"cannot write operand {op}")
+    addr = _effective_address(machine, op)  # type: ignore[arg-type]
+    machine.note_mem_write(addr, width // 8)
+    machine.memory.write_uint(addr, value, width // 8)
 
 
 def _is_vector_operand(op: Operand) -> bool:
-    return isinstance(op, Reg) and op.register.kind is RegisterKind.VECTOR
+    return isinstance(op, Reg) and op.register.kind is _VECTOR
 
 
 def _exec_mov(machine: "Machine", instr: Instruction) -> ControlEffect:
@@ -142,8 +147,6 @@ def _exec_movext(machine: "Machine", instr: Instruction) -> ControlEffect:
 
 def _exec_lea(machine: "Machine", instr: Instruction) -> ControlEffect:
     src, dst = instr.operands
-    if not isinstance(src, Mem):
-        raise IllegalInstructionError("lea source must be a memory operand")
     addr = _effective_address(machine, src)  # no actual memory access
     _write_operand(machine, dst, addr, 64)
     return ControlEffect.next()
@@ -182,10 +185,8 @@ def _exec_shift(machine: "Machine", instr: Instruction) -> ControlEffect:
     width = instr.spec.width
     if isinstance(src, Imm):
         count = src.value & (63 if width == 64 else 31)
-    elif isinstance(src, Reg) and src.register.root == "rcx":
+    else:  # a register of the rcx family: the count is %cl
         count = machine.registers.read(_CL) & (63 if width == 64 else 31)
-    else:
-        raise IllegalInstructionError("shift count must be immediate or %cl")
     value = _read_operand(machine, dst, width)
     op = instr.mnemonic[:3]
     if count == 0:
@@ -317,10 +318,6 @@ def _exec_idiv(machine: "Machine", instr: Instruction) -> ControlEffect:
 
 def _exec_pinsrq(machine: "Machine", instr: Instruction) -> ControlEffect:
     imm, src, dst = instr.operands
-    if not isinstance(imm, Imm) or imm.value not in (0, 1):
-        raise IllegalInstructionError("pinsrq lane must be $0 or $1")
-    if not (isinstance(dst, Reg) and dst.register.width == 128):
-        raise IllegalInstructionError("pinsrq destination must be an xmm register")
     value = _read_operand(machine, src, 64)
     current = machine.registers.read(dst.register)
     shift = imm.value * 64
@@ -331,10 +328,6 @@ def _exec_pinsrq(machine: "Machine", instr: Instruction) -> ControlEffect:
 
 def _exec_pextrq(machine: "Machine", instr: Instruction) -> ControlEffect:
     imm, src, dst = instr.operands
-    if not isinstance(imm, Imm) or imm.value not in (0, 1):
-        raise IllegalInstructionError("pextrq lane must be $0 or $1")
-    if not (isinstance(src, Reg) and src.register.width == 128):
-        raise IllegalInstructionError("pextrq source must be an xmm register")
     value = (machine.registers.read(src.register) >> (imm.value * 64)) & mask_for_width(64)
     _write_operand(machine, dst, value, 64)
     return ControlEffect.next()
@@ -342,11 +335,7 @@ def _exec_pextrq(machine: "Machine", instr: Instruction) -> ControlEffect:
 
 def _exec_vinserti128(machine: "Machine", instr: Instruction) -> ControlEffect:
     imm, xmm_src, ymm_src, ymm_dst = instr.operands
-    if not isinstance(imm, Imm) or imm.value not in (0, 1):
-        raise IllegalInstructionError("vinserti128 lane must be $0 or $1")
-    lane = _read_operand(machine, xmm_src, 128) if isinstance(xmm_src, Mem) else (
-        machine.registers.read(xmm_src.register)  # type: ignore[union-attr]
-    )
+    lane = machine.registers.read(xmm_src.register)  # type: ignore[union-attr]
     base = machine.registers.read(ymm_src.register)  # type: ignore[union-attr]
     shift = imm.value * 128
     lane_mask = mask_for_width(128) << shift
@@ -429,22 +418,127 @@ _DISPATCH = {
 }
 
 
-def execute(machine: "Machine", instr: Instruction) -> ControlEffect:
-    """Execute one instruction; returns the resulting control effect."""
-    try:
-        handler = _DISPATCH[instr.kind]
-    except KeyError:
+_GPR_WIDTHS = (8, 16, 32, 64)
+#: Width -> the GPR widths up to it (a move's source may be narrower).
+_UP_TO = {w: _GPR_WIDTHS[:i + 1] for i, w in enumerate(_GPR_WIDTHS)}
+_EXACT = {w: (w,) for w in _GPR_WIDTHS}
+
+
+def _gpr(op: Operand, widths: tuple[int, ...] = _GPR_WIDTHS) -> bool:
+    return (isinstance(op, Reg) and op.register.kind is _GPR
+            and op.register.width in widths)
+
+
+def _addr_reg(reg) -> bool:
+    return reg is None or (reg.kind is _GPR and reg.width == 64)
+
+
+def _mem(op: Operand) -> bool:
+    """A memory operand addressed through 64-bit GPRs only."""
+    return isinstance(op, Mem) and _addr_reg(op.base) and _addr_reg(op.index)
+
+
+def _src(op: Operand, widths: tuple[int, ...] = _GPR_WIDTHS) -> bool:
+    return isinstance(op, Imm) or _gpr(op, widths) or _mem(op)
+
+
+def _dst(op: Operand, widths: tuple[int, ...] = _GPR_WIDTHS) -> bool:
+    return _gpr(op, widths) or _mem(op)
+
+
+def _vec(op: Operand, width: int) -> bool:
+    return (isinstance(op, Reg) and op.register.kind is _VECTOR
+            and op.register.width == width)
+
+
+def _lane(op: Operand) -> bool:
+    return isinstance(op, Imm) and op.value in (0, 1)
+
+
+def _movq_shape(src: Operand, dst: Operand) -> bool:
+    """``movq``/``vmovq`` with an xmm side: any vector view either way."""
+    return ((_is_vector_operand(src) or _src(src))
+            and (_is_vector_operand(dst) or _dst(dst)))
+
+
+def _mov_shape(instr: Instruction, ops: tuple[Operand, ...]) -> bool:
+    src, dst = ops
+    if _is_vector_operand(src) or _is_vector_operand(dst):
+        return _movq_shape(src, dst)
+    return _src(src, _UP_TO[instr.spec.width]) and _dst(dst)
+
+
+def _vecmov_shape(instr: Instruction, ops: tuple[Operand, ...]) -> bool:
+    if instr.mnemonic == "pinsrq":
+        return _lane(ops[0]) and _src(ops[1]) and _vec(ops[2], 128)
+    if instr.mnemonic == "pextrq":
+        return _lane(ops[0]) and _vec(ops[1], 128) and _dst(ops[2])
+    return _movq_shape(*ops)
+
+
+def _compare_shape(instr: Instruction, ops: tuple[Operand, ...]) -> bool:
+    exact = _EXACT[instr.spec.width]
+    return _src(ops[0], exact) and _src(ops[1], exact)
+
+
+def _ymm_shape(instr: Instruction, ops: tuple[Operand, ...]) -> bool:
+    return all(_vec(op, 256) for op in ops)
+
+
+#: Per kind, whether an instruction's operands form a modeled shape; kinds
+#: without an entry take no operands or a branch target.
+_SHAPES = {
+    InstrKind.MOV: _mov_shape,
+    InstrKind.MOVEXT: lambda instr, ops: (
+        _src(ops[0], _UP_TO[instr.spec.src_width]) and _dst(ops[1])),
+    InstrKind.LEA: lambda instr, ops: _mem(ops[0]) and _dst(ops[1]),
+    InstrKind.ALU: lambda instr, ops: (
+        _src(ops[0], _EXACT[instr.spec.width])
+        and _dst(ops[1], _EXACT[instr.spec.width])),
+    InstrKind.CMP: _compare_shape,
+    InstrKind.TEST: _compare_shape,
+    # The count is an immediate or %cl (any view of rcx reads %cl).
+    InstrKind.SHIFT: lambda instr, ops: (
+        (isinstance(ops[0], Imm)
+         or isinstance(ops[0], Reg) and ops[0].register.root == "rcx")
+        and _dst(ops[1], _EXACT[instr.spec.width])),
+    InstrKind.UNARY: lambda instr, ops: _dst(ops[0], _EXACT[instr.spec.width]),
+    InstrKind.IDIV: lambda instr, ops: _src(ops[0], _EXACT[instr.spec.width]),
+    InstrKind.PUSH: lambda instr, ops: _src(ops[0]),
+    InstrKind.POP: lambda instr, ops: _dst(ops[0]),
+    InstrKind.SETCC: lambda instr, ops: _dst(ops[0]),
+    InstrKind.VECMOV: _vecmov_shape,
+    InstrKind.VECINSERT: lambda instr, ops: (
+        _lane(ops[0]) and _vec(ops[1], 128) and _vec(ops[2], 256)
+        and _vec(ops[3], 256)),
+    InstrKind.VECALU: _ymm_shape,
+    InstrKind.VECTEST: _ymm_shape,
+}
+#: The same table by mnemonic: a str key hashes faster than an enum member.
+_SHAPE_OF = {mnemonic: _SHAPES.get(get_spec(mnemonic).kind)
+             for mnemonic in known_mnemonics()}
+
+
+def check_shape(instr: Instruction) -> None:
+    """Raise :class:`IllegalInstructionError` unless ``instr``'s operand
+    shape is one the machine executes.
+
+    The modeled shapes are exactly what the -O0 backend and the protection
+    transforms emit, plus their close neighbours: register operands of an
+    ALU-like instruction match its width (a plain or widening move's source
+    may be narrower), memory operands address through 64-bit GPRs, a shift
+    count is an immediate or ``%cl``, and the vector instructions take
+    ``$0``/``$1`` lanes, xmm lanes and ymm whole registers as FERRUM's
+    checks do. Branch targets are checked by ``validate_program``.
+    """
+    shape = _SHAPE_OF[instr.mnemonic]
+    if shape is not None and not shape(instr, instr.operands):
         raise IllegalInstructionError(
-            f"no semantics for {instr.mnemonic}"
-        ) from None
-    return handler(machine, instr)
+            f"operand shape not modeled: {format_instruction(instr)}"
+        )
 
 
 def handler_for(instr: Instruction):
-    """Pre-resolved handler for one instruction (CPU fast path)."""
-    try:
-        return _DISPATCH[instr.kind]
-    except KeyError:
-        raise IllegalInstructionError(
-            f"no semantics for {instr.mnemonic}"
-        ) from None
+    """Pre-resolved handler for one instruction, after :func:`check_shape`."""
+    check_shape(instr)
+    return _DISPATCH[instr.kind]

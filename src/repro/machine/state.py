@@ -95,19 +95,6 @@ class RegisterFile:
         else:
             raise ValueError(f"cannot write register {reg.name}")
 
-    # -- convenience names used by semantics/builtins --------------------
-
-    def read_root(self, root: str) -> int:
-        if root in self._gprs:
-            return self._gprs[root]
-        return self._vectors[root]
-
-    def write_root(self, root: str, value: int) -> None:
-        if root in self._gprs:
-            self._gprs[root] = to_unsigned(value, 64)
-        else:
-            self._vectors[root] = to_unsigned(value, 256)
-
     # -- fault injection ---------------------------------------------------
 
     def flip(self, reg: Register, bit: int) -> None:

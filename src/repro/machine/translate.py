@@ -33,15 +33,16 @@ closure cells, and one cached ``make`` function per distinct body (built
 with :func:`compile`/``exec`` the first time it appears) serves every
 instruction sharing it.
 
-:func:`translate_program` builds one step per instruction: its
-one-instruction body followed by ``return NXT`` (a ``jcc`` ends in the same
-conditional return a superblock uses). ``idiv``, ``call``, ``ret`` and
-``jmp`` keep small hand-written closures, and shapes the emitter does not
-cover (deliberately malformed operands, ``pextrq``) wrap the reference
-handler. FERRUM's vector checks (``movq`` to and from xmm, ``pinsrq``,
-``vinserti128``, ``vpxor``, ``vptest``) are rendered like any other
-instruction, so they fuse. :func:`translate_fused` concatenates the bodies
-of whole basic blocks into single superblock bodies, and
+The emitter renders every straight-line instruction: it assumes the
+operand shapes that :func:`repro.machine.semantics.check_shape` admits when
+a Machine loads, and runs no reference code. :func:`translate_program`
+builds one step per instruction: its one-instruction body followed by
+``return NXT`` (a ``jcc`` ends in the same conditional return a superblock
+uses); only ``call``, ``ret`` and ``jmp`` keep small hand-written closures.
+FERRUM's vector checks (``movq`` to and from xmm, ``pinsrq``,
+``vinserti128``, ``vpxor``, ``vptest``) and ``idiv`` are rendered like any
+other instruction, so they fuse. :func:`translate_fused` concatenates the
+bodies of whole basic blocks into single superblock bodies, and
 :func:`execute_fused`, one dispatch loop for every kind of run,
 single-steps wherever a fault site, stop target or budget boundary must be
 observed mid-block.
@@ -69,14 +70,13 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.asm.instructions import InstrKind
 from repro.asm.operands import Imm, Mem, Operand, Reg
-from repro.asm.registers import Register, RegisterKind
+from repro.asm.registers import RegisterKind
 from repro.errors import (
     ExecutionLimitExceeded,
     MachineError,
     MachineFault,
 )
 from repro.machine import flags as flg
-from repro.machine.semantics import Flow, handler_for
 from repro.utils.bitops import mask_for_width, trunc_div
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,23 +114,19 @@ Step = Callable[[], int]
 class TranslatedCode:
     """The compiled program: one step closure per code index.
 
-    ``emitted[pc]`` records whether :func:`_instr_lines` rendered the
-    instruction at ``pc``, i.e. whether it may sit inside a superblock.
-    Steps that need the machine itself (``call``, ``ret`` and the
-    reference-handler fallback) read it from the one-slot ``machine_cell``,
-    which :func:`execute_fused` fills only while it runs: a captured
-    machine would make every fused machine a reference cycle, freed only
-    by the cyclic garbage collector.
+    The steps that need the machine itself (``call`` and ``ret``) read it
+    from the one-slot ``machine_cell``, which :func:`execute_fused` fills
+    only while it runs: a captured machine would make every fused machine a
+    reference cycle, freed only by the cyclic garbage collector.
     """
 
-    __slots__ = ("steps", "site_flags", "code_len", "emitted", "machine_cell")
+    __slots__ = ("steps", "site_flags", "code_len", "machine_cell")
 
     def __init__(self, steps: list[Step], site_flags: list[int],
-                 emitted: list[bool], machine_cell: list) -> None:
+                 machine_cell: list) -> None:
         self.steps = steps
         self.site_flags = site_flags
         self.code_len = len(steps)
-        self.emitted = emitted
         self.machine_cell = machine_cell
 
 
@@ -148,6 +144,9 @@ _EXEC_GLOBALS = {
     "_CZ": _CZ,
     "_CFOF": _CFOF,
     "_M64": _M64,
+    # idiv's faults and its truncating division.
+    "_MF": MachineFault,
+    "_TDIV": trunc_div,
     # Vector-lane masks: everything above the xmm lane, and everything but
     # 64-bit lane 0 or 1 of it (negative, as the reference's ``& ~mask``).
     "_M128": _M128,
@@ -199,21 +198,13 @@ def _build_step(body: list[str], env: dict) -> Step:
     return make(env)
 
 
-def _is_gpr64(reg: Register | None) -> bool:
-    return reg is not None and reg.kind is RegisterKind.GPR and reg.width == 64
-
-
 def _is_vector_op(op: Operand) -> bool:
     return isinstance(op, Reg) and op.register.kind is RegisterKind.VECTOR
 
 
-def _addr_frag(mem: Mem, idx: int, env: dict) -> str | None:
-    """Effective-address expression (64-bit GPR base/index only)."""
+def _addr_frag(mem: Mem, idx: int, env: dict) -> str:
+    """Effective-address expression (over 64-bit GPR base/index roots)."""
     base, index = mem.base, mem.index
-    if base is not None and not _is_gpr64(base):
-        return None
-    if index is not None and not _is_gpr64(index):
-        return None
     if base is None and index is None:
         env[f"D{idx}"] = mem.disp & _M64
         return f"D{idx}"
@@ -267,12 +258,12 @@ def _zf_sf_pf_lines(result_var: str, sgn: str) -> list[str]:
 
 # -- the instruction emitter --------------------------------------------------
 #
-# Every emitter returns the statements for one instruction, or None when the
-# operand shape falls outside its fast path; such an instruction then runs
-# as a reference-handler step, so the steps are total over the ISA by
-# construction. ``j`` is the instruction's index inside its body (operand
-# slots ``2 * j`` and ``2 * j + 1`` keep closure-cell and local names
-# distinct when a superblock concatenates several instructions).
+# Every emitter returns the statements for one instruction. It assumes the
+# operand shape passed ``semantics.check_shape``, which every Machine runs
+# over its program at load, so the emitter is total over the straight-line
+# kinds by construction. ``j`` is the instruction's index inside its body
+# (operand slots ``2 * j`` and ``2 * j + 1`` keep closure-cell and local
+# names distinct when a superblock concatenates several instructions).
 
 
 def _seg_guess(mem: Mem) -> int:
@@ -291,15 +282,13 @@ def _seg_guess(mem: Mem) -> int:
     return 1  # heap
 
 
-def _read_op(op, width, idx, env, bounded=False):
-    """``(lines, value_expr)`` reading ``op``; ``(None, None)`` if unsupported.
+def _read_op(op, width, idx, env):
+    """``(lines, value_expr)`` reading ``op``.
 
     Matches ``semantics._read_operand``. Register and immediate operands
     read as a pure expression with no lines. Registers read at *register*
     width (the reference rule), so the value is bounded by
-    ``max(width, reg.width)`` bits; ``bounded`` rejects wider registers
-    for callers that need it bounded to ``width`` (the ALU-like emitters
-    reject width mismatches themselves). Memory operands emit the inlined
+    ``max(width, reg.width)`` bits. Memory operands emit the inlined
     fast path — a bounds check against the statically-guessed segment plus
     a struct codec over its backing bytearray — falling back to ``rd``
     (which also owns the SegmentationFault) on a miss; the value lands in
@@ -310,18 +299,12 @@ def _read_op(op, width, idx, env, bounded=False):
         return [], f"A{idx}"
     if isinstance(op, Reg):
         reg = op.register
-        if reg.kind is not RegisterKind.GPR or (bounded and reg.width > width):
-            return None, None
         env[f"R{idx}"] = reg.root
         if reg.width == 64:
             return [], f"g[R{idx}]"
         env[f"RM{idx}"] = mask_for_width(reg.width)
         return [], f"(g[R{idx}] & RM{idx})"
-    if not isinstance(op, Mem) or width not in (8, 16, 32, 64):
-        return None, None
     addr = _addr_frag(op, idx, env)
-    if addr is None:
-        return None, None
     n = width // 8
     k = _seg_guess(op)
     lines = [
@@ -347,8 +330,6 @@ def _write_op(op, width, idx, env, expr, have_addr=False):
     """
     if isinstance(op, Reg):
         reg = op.register
-        if reg.kind is not RegisterKind.GPR:
-            return None
         env[f"R{idx}"] = reg.root
         rw = reg.width
         if width > rw:  # e.g. a 64-bit value into a 32-bit view
@@ -359,16 +340,11 @@ def _write_op(op, width, idx, env, expr, have_addr=False):
             return [f"g[R{idx}] = {expr}"]
         env[f"K{idx}"] = _M64 ^ mask_for_width(rw)
         return [f"g[R{idx}] = (g[R{idx}] & K{idx}) | ({expr})"]
-    if not isinstance(op, Mem) or width not in (8, 16, 32, 64):
-        return None
     n = width // 8
     k = _seg_guess(op)
     lines = []
     if not have_addr:
-        addr = _addr_frag(op, idx, env)
-        if addr is None:
-            return None
-        lines.append(f"a{idx} = {addr}")
+        lines.append(f"a{idx} = {_addr_frag(op, idx, env)}")
     if not expr.isidentifier():
         lines.append(f"w{idx} = {expr}")
         expr = f"w{idx}"
@@ -384,69 +360,37 @@ def _write_op(op, width, idx, env, expr, have_addr=False):
     return lines
 
 
-def _alu_guard(src, dst, width) -> bool:
-    """The reference reads register operands at *register* width; widths
-    that disagree with the instruction width go through the oracle."""
-    for op in (src, dst):
-        if isinstance(op, Reg) and op.register.width != width:
-            return False
-    return True
-
-
 def _emit_mov(instr, width, j, env):
     src, dst = instr.operands
     if _is_vector_op(src) or _is_vector_op(dst):
         return _emit_movq(instr, j, env)
-    la, ea = _read_op(src, width, 2 * j, env, bounded=True)
-    if la is None:
-        return None
-    lw = _write_op(dst, width, 2 * j + 1, env, ea)
-    if lw is None:
-        return None
-    return [*la, *lw]
+    la, ea = _read_op(src, width, 2 * j, env)
+    return [*la, *_write_op(dst, width, 2 * j + 1, env, ea)]
 
 
 def _emit_movext(instr, j, env):
     spec = instr.spec
     src, dst = instr.operands
-    la, ea = _read_op(src, spec.src_width, 2 * j, env, bounded=True)
-    if la is None:
-        return None
+    la, ea = _read_op(src, spec.src_width, 2 * j, env)
     if instr.mnemonic.startswith("movz"):
-        lw = _write_op(dst, spec.width, 2 * j + 1, env, ea)
-        if lw is None:
-            return None
-        return [*la, *lw]
+        return [*la, *_write_op(dst, spec.width, 2 * j + 1, env, ea)]
     ssgn = hex(1 << (spec.src_width - 1))
     ext = hex(mask_for_width(spec.width) ^ mask_for_width(spec.src_width))
     lw = _write_op(dst, spec.width, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
     return [*la, f"v = {ea}", f"if v & {ssgn}:", f"    v |= {ext}", *lw]
 
 
 def _emit_lea(instr, j, env):
     src, dst = instr.operands
-    if not isinstance(src, Mem):
-        return None  # reference handler raises IllegalInstructionError
-    addr = _addr_frag(src, 2 * j, env)
-    if addr is None:
-        return None
-    return _write_op(dst, 64, 2 * j + 1, env, addr)
+    return _write_op(dst, 64, 2 * j + 1, env, _addr_frag(src, 2 * j, env))
 
 
 def _emit_alu(instr, width, j, env):
     src, dst = instr.operands
-    if not _alu_guard(src, dst, width):
-        return None
     la, ea = _read_op(src, width, 2 * j, env)
     lb, eb = _read_op(dst, width, 2 * j + 1, env)
-    if la is None or lb is None:
-        return None
     wr_r = _write_op(dst, width, 2 * j + 1, env, "r",
                      have_addr=isinstance(dst, Mem))
-    if wr_r is None:
-        return None
 
     m = hex(mask_for_width(width))
     sgn = hex(1 << (width - 1))
@@ -494,21 +438,15 @@ def _emit_alu(instr, width, j, env):
             "R.rflags = f",
             *wr_r,
         ]
-    if root in ("and", "or", "xor"):
-        sym = {"and": "&", "or": "|", "xor": "^"}[root]
-        return [*pre, f"r = b {sym} a", *_zf_sf_pf_lines("r", sgn),
-                "R.rflags = f", *wr_r]
-    return None  # pragma: no cover - spec table guarantees the roots above
+    sym = {"and": "&", "or": "|", "xor": "^"}[root]
+    return [*pre, f"r = b {sym} a", *_zf_sf_pf_lines("r", sgn),
+            "R.rflags = f", *wr_r]
 
 
 def _emit_cmp_test(instr, width, j, env):
     src, dst = instr.operands
-    if not _alu_guard(src, dst, width):
-        return None
     la, ea = _read_op(src, width, 2 * j, env)
     lb, eb = _read_op(dst, width, 2 * j + 1, env)
-    if la is None or lb is None:
-        return None
     sgn = hex(1 << (width - 1))
     if instr.kind is InstrKind.TEST:
         return [*la, f"a = {ea}", *lb, f"r = {eb} & a",
@@ -531,15 +469,9 @@ def _emit_cmp_test(instr, width, j, env):
 
 def _emit_shift(instr, width, j, env):
     src, dst = instr.operands
-    if isinstance(dst, Reg) and dst.register.width != width:
-        return None
     lv, ev = _read_op(dst, width, 2 * j + 1, env)
-    if lv is None:
-        return None
     wr_r = _write_op(dst, width, 2 * j + 1, env, "r",
                      have_addr=isinstance(dst, Mem))
-    if wr_r is None:
-        return None
     count_mask = 63 if width == 64 else 31
     op = instr.mnemonic[:3]
     m = hex(mask_for_width(width))
@@ -563,8 +495,6 @@ def _emit_shift(instr, width, j, env):
         return [*lv, f"v = {ev}", *calc, *_zf_sf_pf_lines("r", sgn),
                 "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
 
-    if not (isinstance(src, Reg) and src.register.root == "rcx"):
-        return None  # reference handler raises IllegalInstructionError
     if op == "shl":
         calc = [f"r = (v << c) & {m}", f"cf = (v >> ({width} - c)) & 1"]
     elif op == "shr":
@@ -585,19 +515,13 @@ def _emit_shift(instr, width, j, env):
 
 def _emit_unary(instr, width, j, env):
     (dst,) = instr.operands
-    if isinstance(dst, Reg) and dst.register.width != width:
-        return None
     lv, ev = _read_op(dst, width, 2 * j + 1, env)
-    if lv is None:
-        return None
 
     def write(expr):
         return _write_op(dst, width, 2 * j + 1, env, expr,
                          have_addr=isinstance(dst, Mem))
 
     wr_r = write("r")
-    if wr_r is None:
-        return None
     m = hex(mask_for_width(width))
     sgn = hex(1 << (width - 1))
     op = instr.mnemonic[:3]
@@ -634,13 +558,9 @@ def _emit_unary(instr, width, j, env):
 
 def _emit_setcc(instr, j, env):
     (dst,) = instr.operands
-    cond = _CC_EXPR.get(instr.spec.cc or "")
-    if cond is None:
-        return None
-    lw = _write_op(dst, 8, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
-    return ["f = R.rflags", f"v = 1 if {cond} else 0", *lw]
+    cond = _CC_EXPR[instr.spec.cc]
+    return ["f = R.rflags", f"v = 1 if {cond} else 0",
+            *_write_op(dst, 8, 2 * j + 1, env, "v")]
 
 
 def _emit_convert(instr):
@@ -656,11 +576,43 @@ def _emit_convert(instr):
     return ['g["rdx"] = 0xffffffffffffffff if g["rax"] >> 63 else 0']  # cqto
 
 
+def _emit_idiv(instr, width, j, env):
+    """``idiv``: signed ``rdx:rax`` (``edx:eax``) by the operand.
+
+    Mirrors ``semantics._exec_idiv`` step for step: the divisor read (which
+    may fault), the zero check, the quotient-overflow check, and only then
+    the writes of quotient and remainder.
+    """
+    (src,) = instr.operands
+    lv, ev = _read_op(src, width, 2 * j, env)
+    m = hex(mask_for_width(width))
+    sgn = hex(1 << (width - 1))
+    md = hex(mask_for_width(width) + 1)
+    if width == 32:
+        dividend = ['n = (g["rdx"] & 0xffffffff) << 32 | g["rax"] & 0xffffffff']
+    else:
+        dividend = ['n = g["rdx"] << 64 | g["rax"]']
+    return [
+        *lv,
+        f"d = {ev}",
+        f"if d & {sgn}:",
+        f"    d -= {md}",
+        "if d == 0:",
+        '    raise _MF("integer division by zero")',
+        *dividend,
+        f"if n & {hex(1 << (2 * width - 1))}:",
+        f"    n -= {hex(1 << (2 * width))}",
+        "q = _TDIV(n, d)",
+        f"if not -{sgn} <= q < {sgn}:",
+        '    raise _MF("idiv quotient overflow")',
+        f'g["rax"] = q & {m}',
+        f'g["rdx"] = (n - q * d) & {m}',
+    ]
+
+
 def _emit_push(instr, j, env):
     (src,) = instr.operands
     lv, ev = _read_op(src, 64, 2 * j, env)
-    if lv is None:
-        return None
     return [
         *lv,
         f"v = {ev}",
@@ -678,9 +630,6 @@ def _emit_push(instr, j, env):
 
 def _emit_pop(instr, j, env):
     (dst,) = instr.operands
-    lw = _write_op(dst, 64, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
     return [
         'rsp = g["rsp"]',
         "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
@@ -688,7 +637,7 @@ def _emit_pop(instr, j, env):
         "else:",
         "    v = rd(rsp, 8)",
         'g["rsp"] = (rsp + 8) & _M64',
-        *lw,
+        *_write_op(dst, 64, 2 * j + 1, env, "v"),
     ]
 
 
@@ -698,14 +647,6 @@ def _emit_pop(instr, j, env):
 # are therefore no-ops and the templates omit them. An xmm write keeps the
 # upper ymm lane, as ``RegisterFile.write`` does. Root cells are named
 # ``QA{j}``/``QB{j}`` (sources) and ``QD{j}`` (destination).
-
-
-def _vec_root(op, width, name, env) -> bool:
-    """Bind ``op``'s root to ``name`` if it is a ``width``-bit vector reg."""
-    if not (_is_vector_op(op) and op.register.width == width):
-        return False
-    env[name] = op.register.root
-    return True
 
 
 def _emit_movq(instr, j, env):
@@ -720,39 +661,35 @@ def _emit_movq(instr, j, env):
         la, ea = [], f"(V[QA{j}] & _M64)"
     else:
         la, ea = _read_op(src, 64, 2 * j, env)
-        if la is None:
-            return None
     if _is_vector_op(dst):
         env[f"QD{j}"] = dst.register.root
         return [*la, f"V[QD{j}] = (V[QD{j}] & _NOT128) | {ea}"]
-    lw = _write_op(dst, 64, 2 * j + 1, env, ea)
-    if lw is None:
-        return None
-    return [*la, *lw]
+    return [*la, *_write_op(dst, 64, 2 * j + 1, env, ea)]
 
 
 def _emit_pinsrq(instr, j, env):
     imm, src, dst = instr.operands
-    if not (isinstance(imm, Imm) and imm.value in (0, 1)):
-        return None  # reference handler raises IllegalInstructionError
-    if not _vec_root(dst, 128, f"QD{j}", env):
-        return None
+    env[f"QD{j}"] = dst.register.root
     la, ea = _read_op(src, 64, 2 * j, env)
-    if la is None:
-        return None
     if imm.value == 0:
         return [*la, f"V[QD{j}] = (V[QD{j}] & _NOTQ0) | {ea}"]
     return [*la, f"V[QD{j}] = (V[QD{j}] & _NOTQ1) | ({ea} << 64)"]
 
 
+def _emit_pextrq(instr, j, env):
+    """``pextrq``: 64-bit lane 0 or 1 of an xmm register into a GPR or
+    memory (``semantics._exec_pextrq``)."""
+    imm, src, dst = instr.operands
+    env[f"QA{j}"] = src.register.root
+    lane = f"(V[QA{j}] & _M64)" if imm.value == 0 else f"(V[QA{j}] >> 64 & _M64)"
+    return _write_op(dst, 64, 2 * j + 1, env, lane)
+
+
 def _emit_vinserti128(instr, j, env):
     imm, xsrc, ysrc, ydst = instr.operands
-    if not (isinstance(imm, Imm) and imm.value in (0, 1)):
-        return None
-    if not (_vec_root(xsrc, 128, f"QA{j}", env)
-            and _vec_root(ysrc, 256, f"QB{j}", env)
-            and _vec_root(ydst, 256, f"QD{j}", env)):
-        return None
+    env[f"QA{j}"] = xsrc.register.root
+    env[f"QB{j}"] = ysrc.register.root
+    env[f"QD{j}"] = ydst.register.root
     if imm.value == 0:
         return [f"V[QD{j}] = (V[QB{j}] & _NOT128) | (V[QA{j}] & _M128)"]
     return [f"V[QD{j}] = (V[QB{j}] & _M128) | ((V[QA{j}] & _M128) << 128)"]
@@ -760,18 +697,16 @@ def _emit_vinserti128(instr, j, env):
 
 def _emit_vpxor(instr, j, env):
     src1, src2, dst = instr.operands
-    if not (_vec_root(src1, 256, f"QA{j}", env)
-            and _vec_root(src2, 256, f"QB{j}", env)
-            and _vec_root(dst, 256, f"QD{j}", env)):
-        return None
+    env[f"QA{j}"] = src1.register.root
+    env[f"QB{j}"] = src2.register.root
+    env[f"QD{j}"] = dst.register.root
     return [f"V[QD{j}] = V[QA{j}] ^ V[QB{j}]"]
 
 
 def _emit_vptest(instr, j, env):
     src1, src2 = instr.operands
-    if not (_vec_root(src1, 256, f"QA{j}", env)
-            and _vec_root(src2, 256, f"QB{j}", env)):
-        return None
+    env[f"QA{j}"] = src1.register.root
+    env[f"QB{j}"] = src2.register.root
     return [
         f"a = V[QA{j}]",
         f"b = V[QB{j}]",
@@ -779,8 +714,8 @@ def _emit_vptest(instr, j, env):
     ]
 
 
-def _instr_lines(instr, j, env) -> list[str] | None:
-    """Body statements for one instruction (``None`` = not emitted).
+def _instr_lines(instr, j, env) -> list[str]:
+    """Body statements for one straight-line (non-branch) instruction.
 
     The one place instruction semantics are rendered: a single step is
     these lines plus ``return NXT``, a superblock their concatenation.
@@ -809,73 +744,29 @@ def _instr_lines(instr, j, env) -> list[str] | None:
         return _emit_push(instr, j, env)
     if kind is InstrKind.POP:
         return _emit_pop(instr, j, env)
-    if kind is InstrKind.NOP:
-        return []
+    if kind is InstrKind.IDIV:
+        return _emit_idiv(instr, width, j, env)
     if kind is InstrKind.VECMOV:
         if instr.mnemonic == "vmovq":
             return _emit_movq(instr, j, env)
         if instr.mnemonic == "pinsrq":
             return _emit_pinsrq(instr, j, env)
-        return None  # pextrq: FERRUM never emits it
+        return _emit_pextrq(instr, j, env)
     if kind is InstrKind.VECINSERT:
         return _emit_vinserti128(instr, j, env)
     if kind is InstrKind.VECALU:
         return _emit_vpxor(instr, j, env)
     if kind is InstrKind.VECTEST:
         return _emit_vptest(instr, j, env)
-    return None
+    return []  # nop
 
 
-def _jcc_lines(instr) -> list[str] | None:
+def _jcc_lines(instr) -> list[str]:
     """The conditional-branch terminator over ``TGT``/``NXT`` cells."""
-    cond = _CC_EXPR.get(instr.spec.cc or "")
-    if cond is None:
-        return None
-    return ["f = R.rflags", f"return TGT if {cond} else NXT"]
+    return ["f = R.rflags", f"return TGT if {_CC_EXPR[instr.spec.cc]} else NXT"]
 
 
-# -- closure steps (rare kinds) ----------------------------------------------
-
-
-def _steps_idiv(instr, width, nxt, gprs, env):
-    (src,) = instr.operands
-    if isinstance(src, Reg) and src.register.width != width:
-        return None
-    lines, read = _read_op(src, width, 0, env)
-    if lines is None:
-        return None
-    read_divisor = _build_step([*lines, f"return {read}"], env)
-    mask = mask_for_width(width)
-    sign = 1 << (width - 1)
-    modulus = mask + 1
-    double_sign = 1 << (2 * width - 1)
-    double_modulus = 1 << (2 * width)
-    q_min = -(1 << (width - 1))
-    q_max = 1 << (width - 1)
-    narrow = width == 32
-
-    def step() -> int:
-        raw = read_divisor()
-        divisor = raw - modulus if raw & sign else raw
-        if divisor == 0:
-            raise MachineFault("integer division by zero")
-        if narrow:
-            hi = gprs["rdx"] & _M32
-            lo = gprs["rax"] & _M32
-        else:
-            hi = gprs["rdx"]
-            lo = gprs["rax"]
-        dividend = (hi << width) | lo
-        if dividend & double_sign:
-            dividend -= double_modulus
-        quotient = trunc_div(dividend, divisor)
-        remainder = dividend - quotient * divisor
-        if not q_min <= quotient < q_max:
-            raise MachineFault("idiv quotient overflow")
-        gprs["rax"] = quotient & mask
-        gprs["rdx"] = remainder & mask
-        return nxt
-    return step
+# -- closure steps (calls and returns) -----------------------------------------
 
 
 def _steps_ret(cell, gprs, memory, code_len):
@@ -934,30 +825,6 @@ def _steps_call(cell, pc, nxt, entry_pc, builtin_fn, gprs, memory):
     return step
 
 
-def _steps_generic(cell, instr, nxt, target_pc):
-    """Reference-handler fallback for shapes outside the fast paths.
-
-    Deliberately malformed operand shapes (a vector lane other than 0 or
-    1, a ymm ``pinsrq`` destination, xmm ``vpxor``/``vptest`` operands)
-    and ``pextrq`` execute through the exact reference semantics, so
-    specialization can never change behaviour — only speed. ``target_pc`` is the pre-resolved jump
-    target for branch kinds (unused by straight-line instructions).
-    """
-    handler = handler_for(instr)
-
-    def step() -> int:
-        effect = handler(cell[0], instr)
-        flow = effect.flow
-        if flow is Flow.NEXT:
-            return nxt
-        if flow is Flow.JUMP:
-            return target_pc
-        raise MachineFault(
-            f"unexpected control flow {flow} from fallback step"
-        )  # pragma: no cover - CALL/RET are always specialized
-    return step
-
-
 # -- program translation -----------------------------------------------------
 
 
@@ -997,41 +864,30 @@ def translate_program(machine: "Machine") -> TranslatedCode:
     code_len = len(code)
     cell: list = [None]
     steps: list[Step] = []
-    emitted: list[bool] = []
 
     for pc, instr in enumerate(code):
         nxt = pc + 1 if pc + 1 < code_len else _FELL_OFF
         kind = instr.kind
         env = dict(base_env)
         env["NXT"] = nxt
-        lines = _instr_lines(instr, 0, env)
-        emitted.append(lines is not None)
-        step: Step | None = None
-
-        if lines is not None:
-            step = _build_step([*lines, "return NXT"], env)
+        if not kind.is_branch:
+            step = _build_step([*_instr_lines(instr, 0, env), "return NXT"],
+                               env)
         elif kind is InstrKind.JCC:
-            lines = _jcc_lines(instr)
-            if lines is not None:
-                env["TGT"] = machine._jump_pc[pc]
-                step = _build_step(lines, env)
-        elif kind is InstrKind.IDIV:
-            step = _steps_idiv(instr, instr.spec.width, nxt, gprs, env)
+            env["TGT"] = machine._jump_pc[pc]
+            step = _build_step(_jcc_lines(instr), env)
         elif kind is InstrKind.JMP:
             def step(_t=machine._jump_pc[pc]) -> int:
                 return _t
         elif kind is InstrKind.CALL:
             step = _steps_call(cell, pc, nxt, machine._call_entry_pc[pc],
                                machine._call_builtin_fn[pc], gprs, memory)
-        elif kind is InstrKind.RET:
+        else:
             step = _steps_ret(cell, gprs, memory, code_len)
-
-        if step is None:
-            step = _steps_generic(cell, instr, nxt, machine._jump_pc[pc])
         steps.append(step)
 
     site_flags = [1 if site else 0 for site in machine._is_site]
-    return TranslatedCode(steps, site_flags, emitted, cell)
+    return TranslatedCode(steps, site_flags, cell)
 
 
 # -- superblock fusion --------------------------------------------------------
@@ -1044,10 +900,10 @@ def translate_program(machine: "Machine") -> TranslatedCode:
 #
 # Bit-identity is preserved by construction:
 #
-# * blocks are cut at every instruction the emitter did not render (calls,
-#   returns, ``idiv``, malformed shapes) — those execute through
-#   their single steps, which the fused code object retains in full, as it
-#   does every other instruction's;
+# * blocks are cut only at branches: a ``jmp``/``jcc`` ends a block as its
+#   terminator, while calls and returns execute through their single steps,
+#   which the fused code object retains in full, as it does every other
+#   instruction's;
 # * a block only runs fused when no observable event can occur inside it:
 #   the instruction budget cannot expire mid-block, no ``stop_at_site``
 #   boundary and no pending fault-site hook falls inside it — otherwise the
@@ -1078,24 +934,24 @@ class FusedCode:
 
 def _can_fault(instr) -> bool:
     """Whether an emitted statement for ``instr`` can raise a MachineError."""
-    if instr.kind in (InstrKind.PUSH, InstrKind.POP):
+    if instr.kind in (InstrKind.PUSH, InstrKind.POP, InstrKind.IDIV):
         return True
     if instr.kind is InstrKind.LEA:
         return False  # address arithmetic only, no access
     return any(isinstance(op, Mem) for op in instr.operands)
 
 
-def _fuse_block(machine, code, start, leaders, emitted, base_env, progress):
+def _fuse_block(machine, code, start, leaders, base_env, progress):
     """Compile the superblock at leader ``start``; None when < 2 instrs.
 
     Returns ``(step, instruction_count, site_count)``. The block extends
-    through straight-line emitted instructions up to (and including) a
-    terminating ``jmp``/``jcc``, and is cut at the next leader or at any
-    instruction the emitter did not render.
+    through straight-line instructions up to (and including) a terminating
+    ``jmp``/``jcc``, and is cut at the next leader, call or return.
     """
     n = len(code)
     end = start
-    while end < n and emitted[end] and (end == start or end not in leaders):
+    while (end < n and not code[end].kind.is_branch
+           and (end == start or end not in leaders)):
         end += 1
     term = None
     if start < end < n and end not in leaders:
@@ -1148,7 +1004,6 @@ def translate_fused(machine: "Machine") -> FusedCode:
     base = translate_program(machine)
     code = machine._code
     n = len(code)
-    emitted = base.emitted
 
     leaders = set(machine._entry.values())
     for pc in range(n):
@@ -1156,7 +1011,7 @@ def translate_fused(machine: "Machine") -> FusedCode:
             leaders.add(machine._jump_pc[pc])
         if machine._call_entry_pc[pc] >= 0:
             leaders.add(machine._call_entry_pc[pc])
-        if not emitted[pc] and pc + 1 < n:
+        if code[pc].kind.is_branch and pc + 1 < n:
             leaders.add(pc + 1)
 
     base_env = _base_env(machine)
@@ -1167,8 +1022,7 @@ def translate_fused(machine: "Machine") -> FusedCode:
     for start in sorted(leaders):
         if start >= n:
             continue
-        built = _fuse_block(machine, code, start, leaders, emitted, base_env,
-                            progress)
+        built = _fuse_block(machine, code, start, leaders, base_env, progress)
         if built is None:
             continue
         fused_steps[start], fused_len[start], fused_sites[start] = built
@@ -1193,8 +1047,8 @@ def execute_fused(
     hook-eligible fault site falls inside it. Everything else (including
     every instruction of a block containing the pending fault site)
     single-steps through the per-instruction steps — one-instruction bodies
-    of the same emitter, or the closure and reference-handler steps for the
-    kinds it does not render — so counters, snapshots, hook delivery and
+    of the same emitter, or the closures for ``jmp``, ``call`` and ``ret`` —
+    so counters, snapshots, hook delivery and
     fault-site numbering are bit-identical to the reference engine.
 
     One loop serves every leg, golden runs included, with exactly the

@@ -1,15 +1,8 @@
-"""Unit tests for liveness analysis."""
+"""Unit tests for per-instruction register use/def sets."""
 
 from repro.asm.instructions import ins
-from repro.asm.liveness import (
-    CALLER_SAVED,
-    compute_liveness,
-    instruction_defs,
-    instruction_uses,
-    live_before_each,
-)
-from repro.asm.operands import Imm, LabelRef, Mem, Reg
-from repro.asm.program import AsmBlock, AsmFunction
+from repro.asm.liveness import CALLER_SAVED, instruction_defs, instruction_uses
+from repro.asm.operands import LabelRef, Mem, Reg
 from repro.asm.registers import get_register
 
 
@@ -48,56 +41,3 @@ class TestUseDef:
         instr = ins("movq", mem, _reg("rax"))
         assert {"r8", "r9"} <= instruction_uses(instr)
 
-
-class TestLivenessDataflow:
-    def _straightline(self):
-        # rax defined, copied to rbx, rbx returned via rax.
-        block = AsmBlock("f", [
-            ins("movq", Imm(1), _reg("rax")),
-            ins("movq", _reg("rax"), _reg("rbx")),
-            ins("movq", _reg("rbx"), _reg("rax")),
-            ins("retq"),
-        ])
-        return AsmFunction("f", [block])
-
-    def test_straightline_entry_live_in_empty_of_gprs(self):
-        func = self._straightline()
-        result = compute_liveness(func)
-        # rsp is live at entry (ret uses it); no data register is.
-        assert result.live_at_entry("f") <= {"rsp"}
-
-    def test_loop_keeps_counter_live(self):
-        entry = AsmBlock("f", [
-            ins("movq", Imm(0), _reg("rbx")),
-            ins("jmp", LabelRef(".Lloop")),
-        ])
-        loop = AsmBlock(".Lloop", [
-            ins("addq", Imm(1), _reg("rbx")),
-            ins("cmpq", Imm(10), _reg("rbx")),
-            ins("jne", LabelRef(".Lloop")),
-        ])
-        done = AsmBlock(".Ldone", [ins("retq")])
-        func = AsmFunction("f", [entry, loop, done])
-        result = compute_liveness(func)
-        assert "rbx" in result.live_at_entry(".Lloop")
-        assert "rbx" in result.live_at_exit(".Lloop")
-
-    def test_dead_def_not_live(self):
-        func = self._straightline()
-        result = compute_liveness(func)
-        assert "rcx" not in result.live_at_entry("f")
-
-    def test_live_before_each_positions(self):
-        block = AsmBlock("b", [
-            ins("movq", Imm(1), _reg("rax")),
-            ins("movq", _reg("rax"), _reg("rbx")),
-        ])
-        before = live_before_each(block, frozenset({"rbx"}))
-        assert "rax" not in before[0]       # defined by instruction 0
-        assert "rax" in before[1]           # used by instruction 1
-        assert "rbx" not in before[1]       # defined by instruction 1
-
-    def test_live_out_flows_through(self):
-        block = AsmBlock("b", [ins("nop")])
-        before = live_before_each(block, frozenset({"r12"}))
-        assert "r12" in before[0]

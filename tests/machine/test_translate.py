@@ -15,17 +15,27 @@ hand-written programs of their own, one per template shape.
 """
 
 import gc
+import importlib.util
+import itertools
+import random
 import weakref
+from pathlib import Path
 
 import pytest
 
-from repro.asm.instructions import InstrKind
-from repro.asm.parser import parse_program
-from repro.errors import EngineConfigError, MachineError, MachineFault
+from repro.asm.instructions import Instruction, get_spec, known_mnemonics
+from repro.asm.parser import parse_operand, parse_program
+from repro.errors import (
+    EngineConfigError,
+    IllegalInstructionError,
+    MachineError,
+    MachineFault,
+)
 from repro.fuzz.generator import generate_program
 from repro.machine.cpu import ENGINE_ENV_VAR, ENGINES, Machine
+from repro.machine.semantics import check_shape
 from repro.machine.timing import TimingConfig
-from repro.machine.translate import translate_fused, translate_program
+from repro.machine.translate import translate_fused
 from repro.pipeline import VARIANTS as ALL_VARIANTS
 from repro.pipeline import build_variants
 from repro.workloads.registry import all_workloads, get_workload
@@ -473,14 +483,17 @@ VECTOR_FAULTS = {
     "pinsrq-mem-lane1": "pinsrq $1, 24(%rcx), %xmm1",
 }
 
-#: Shapes the emitter leaves to the reference handler.
+#: Vector shapes no producer emits; a Machine refuses them at load.
 VECTOR_MALFORMED = {
-    "pinsrq-lane2": ("pinsrq $2, %rcx, %xmm0", "pinsrq lane must be"),
-    "pinsrq-ymm-dest": ("pinsrq $0, %rcx, %ymm0", "destination must be"),
-    "vinserti128-lane2": ("vinserti128 $2, %xmm1, %ymm0, %ymm0",
-                          "vinserti128 lane must be"),
-    "vpxor-xmm": ("vpxor %xmm0, %xmm1, %xmm2", None),
-    "vptest-xmm": ("vptest %xmm0, %xmm1", None),
+    "pinsrq-lane2": "pinsrq $2, %rcx, %xmm0",
+    "pinsrq-ymm-dest": "pinsrq $0, %rcx, %ymm0",
+    "vinserti128-lane2": "vinserti128 $2, %xmm1, %ymm0, %ymm0",
+    # VEX.128 zeroes the upper lane; the model has no such form.
+    "vpxor-xmm": "vpxor %xmm0, %xmm1, %xmm2",
+    "vptest-xmm": "vptest %xmm0, %xmm1",
+    "vpxor-mem": "vpxor -8(%rsp), %ymm1, %ymm2",
+    "vptest-mem": "vptest -8(%rsp), %ymm1",
+    "vinserti128-imm": "vinserti128 $1, $5, %ymm0, %ymm0",
 }
 
 
@@ -498,9 +511,9 @@ class TestVectorTemplates:
         assert status == "ok"
         for root, value in expected.items():
             assert registers[root] == value, f"{root}: {registers[root]:#x}"
-        # Straight-line up to the final ``retq``: all of it is emitted.
-        emitted = translate_program(Machine(program, engine="fused")).emitted
-        assert all(emitted[:-1])
+        # Straight-line up to the final ``retq``: one superblock.
+        machine = Machine(program, engine="fused")
+        assert translate_fused(machine).fused_len[0] == len(machine._code) - 1
 
     @pytest.mark.parametrize("name", VECTOR_SHAPES)
     def test_flips_at_every_site(self, name):
@@ -537,35 +550,189 @@ class TestVectorTemplates:
 
     @pytest.mark.parametrize("name", VECTOR_MALFORMED)
     def test_malformed_shapes_fall_back(self, name):
-        body, message = VECTOR_MALFORMED[name]
+        """A shape outside the model fails typed and loud when the Machine
+        loads, on every engine, naming the instruction."""
+        body = VECTOR_MALFORMED[name]
         program = _snippet(VECTOR_PRELUDE + body)
-        states = _end_states(program)
-        assert _all_equal(states.values()), states
-        if message is None:
-            assert states["reference"][0] == "ok"
-        else:
-            kind, text, _, _ = states["reference"]
-            assert kind == "IllegalInstructionError" and message in text
-        pc = len(VECTOR_PRELUDE.strip().splitlines())
-        emitted = translate_program(Machine(program, engine="fused")).emitted
-        assert not emitted[pc]
+        for engine in ENGINES:
+            with pytest.raises(IllegalInstructionError) as info:
+                Machine(program, engine=engine)
+            assert body in str(info.value)
+
+
+def _ablation_configs():
+    path = Path(__file__).resolve().parents[2] / "examples" / "ablation_sweep.py"
+    spec = importlib.util.spec_from_file_location("ablation_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CONFIGS
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_every_workload_instruction_emitted(name):
-    """Every straight-line instruction of every variant of every registry
-    workload renders in the emitter, FERRUM's vector checks included; only
-    control transfers and ``idiv`` keep their own steps."""
-    build = build_variants(get_workload(name).source_fn(), names=ALL_VARIANTS)
-    own_steps = (InstrKind.CALL, InstrKind.RET, InstrKind.JMP, InstrKind.JCC,
-                 InstrKind.IDIV)
-    for variant in ALL_VARIANTS:
-        program = build[variant].asm
-        for part in (program, getattr(program, "secondary", None)):
-            if part is None:
-                continue
-            machine = Machine(part, engine="fused")
-            emitted = translate_program(machine).emitted
-            missing = {str(instr) for pc, instr in enumerate(machine._code)
-                       if instr.kind not in own_steps and not emitted[pc]}
-            assert not missing, f"{variant}: {sorted(missing)[:5]}"
+    """Every variant of every registry workload, under every FERRUM
+    configuration of the ablation sweep, passes the load-time shape check
+    and fuses: no producer emits a shape outside the model. Only the
+    configurable variants (hybrid, ferrum) are rebuilt per configuration."""
+    source = get_workload(name).source_fn()
+    builds = [build_variants(source, names=ALL_VARIANTS)]
+    builds.extend(build_variants(source, names=("hybrid", "ferrum"),
+                                 config=config)
+                  for _, config in _ablation_configs()[1:])
+    for build in builds:
+        for variant in build.variants.values():
+            program = variant.asm
+            for part in (program, getattr(program, "secondary", None)):
+                if part is not None:
+                    fused = translate_fused(Machine(part, engine="fused"))
+                    assert any(length >= 2 for length in fused.fused_len)
+
+
+#: name -> (instructions after the prelude). ``rdx:rax`` starts at
+#: ``RDX:0`` after ``IDIV_PRELUDE``; ``r8``/``-8(%rsp)`` hold divisors.
+IDIV_CASES = {
+    "idivq-reg": "idivq %r8",
+    "idivq-mem": "idivq -8(%rsp)",
+    "idivl-widened": "movl $-7, %eax\ncltd\nmovl $2, %r9d\nidivl %r9d",
+    "idivl-wide-edx": "movl $5, %eax\nmovl $1, %edx\nmovl $3, %r9d\nidivl %r9d",
+    "idivq-by-zero": "movq $0, %r9\nidivq %r9",
+    "idivl-by-zero-mem": "movl $0, -16(%rsp)\nidivl -16(%rsp)",
+    "idivq-overflow": "movq $1, %r9\nidivq %r9",
+    "idivl-overflow": "movl $0, %eax\nmovl $1, %edx\nmovl $1, %r9d\nidivl %r9d",
+    "idivq-min-by-minus-one": ("movq $0, %rdx\nmovq $1, %rax\nshlq $63, %rax\n"
+                               "cqto\nmovq $-1, %r9\nidivq %r9"),
+}
+IDIV_PRELUDE = """
+    movq $1000003, %r8
+    movq %r8, -8(%rsp)
+    movq $12345, %rdx
+    movq $0, %rax
+    movq $77, %rsi
+    addq %rsi, %rsi
+"""
+
+
+class TestIdivFused:
+    """``idiv`` renders in the emitter, so it sits inside superblocks; its
+    faults stamp the reference's counters mid-block."""
+
+    @pytest.mark.parametrize("name", IDIV_CASES)
+    def test_parity(self, name):
+        program = _snippet(IDIV_PRELUDE + IDIV_CASES[name] + "\naddq $1, %rsi")
+        states = _end_states(program)
+        assert _all_equal(states.values()), states
+        machine = Machine(program, engine="fused")
+        # One block from the entry through the instructions after idiv.
+        assert translate_fused(machine).fused_len[0] == len(machine._code) - 1
+        outcome = states["reference"][0]
+        if "zero" in name or "overflow" in name or "minus-one" in name:
+            assert outcome == "MachineFault", states["reference"]
+            _, _, executed, _ = states["reference"]
+            assert executed == len(machine._code) - 4  # idiv, addq, movl, retq
+        else:
+            assert outcome == "ok"
+
+    @pytest.mark.parametrize("name", ("idivq-reg", "idivq-mem",
+                                      "idivl-widened"))
+    def test_flips_at_every_site(self, name):
+        """A flip at each site — the idiv's own rax/rdx included — ends
+        identically on every engine."""
+        program = _snippet(IDIV_PRELUDE + IDIV_CASES[name])
+        golden = Machine(program).run()
+        for site in range(golden.fault_sites):
+            for bit in (0, 31, 62):
+
+                def hook(m, instr, s, bit=bit):
+                    reg = instr.dest_registers()[-1]
+                    m.registers.flip(reg, bit % reg.width)
+
+                states = _end_states(program, fault_hook=hook, fault_at=site)
+                assert _all_equal(states.values()), f"site {site}: {states}"
+
+
+#: The operand pool of the shape grid: immediates, GPRs at every width
+#: (``%cl`` included), vector registers, and three addressing forms.
+GRID_POOL = ("$0", "$1", "$2", "$-1",
+             "%al", "%cl", "%ax", "%cx", "%eax", "%ecx", "%rax", "%rcx",
+             "%rdx", "%xmm0", "%xmm1", "%ymm0", "%ymm1",
+             "-16(%rsp)", "(%eax)", "65600")
+GRID_PRELUDE = """
+    movq $-81985529216486896, %rax
+    movq $81985529216486895, %rcx
+    movq $3, %rdx
+    movq %rcx, -16(%rsp)
+    movq %rax, 65600
+    movq %rax, %xmm0
+    pinsrq $1, %rcx, %xmm0
+    vinserti128 $1, %xmm0, %ymm0, %ymm0
+    movq %rcx, %xmm1
+    pinsrq $1, %rax, %xmm1
+    vinserti128 $0, %xmm1, %ymm1, %ymm1
+"""
+#: Per mnemonic: how many admitted and rejected operand tuples to run.
+GRID_ADMITTED, GRID_REJECTED = 12, 3
+
+
+def _grid_sample():
+    """A deterministic sample of (mnemonic, operand texts) over the pool.
+
+    Every operand tuple of the pool is classified by the load check; each
+    mnemonic contributes a few admitted and a few rejected tuples, drawn
+    with a seed derived from the mnemonic. Branches take a label instead.
+    """
+    operands = {text: parse_operand(text) for text in GRID_POOL}
+    sample = []
+    for mnemonic in known_mnemonics():
+        spec = get_spec(mnemonic)
+        if spec.kind.is_branch:
+            target = {0: (), 1: ("print_long",) if mnemonic == "call"
+                      else (".Lnext",)}[spec.n_operands]
+            sample.append((mnemonic, target))
+            continue
+        admitted, rejected = [], []
+        for texts in itertools.product(GRID_POOL, repeat=spec.n_operands):
+            instr = Instruction(mnemonic, tuple(operands[t] for t in texts))
+            try:
+                check_shape(instr)
+                admitted.append(texts)
+            except IllegalInstructionError:
+                rejected.append(texts)
+        rng = random.Random(mnemonic)
+        sample.extend((mnemonic, texts) for texts in
+                      rng.sample(admitted, min(GRID_ADMITTED, len(admitted))))
+        sample.extend((mnemonic, texts) for texts in
+                      rng.sample(rejected, min(GRID_REJECTED, len(rejected))))
+    return sample
+
+
+def _grid_program(mnemonic, texts):
+    line = mnemonic + (" " + ", ".join(texts) if texts else "")
+    lines = [ln.strip() for ln in GRID_PRELUDE.strip().splitlines()]
+    return parse_program("\t.globl main\nmain:\n"
+                         + "".join(f"\t{ln}\n" for ln in lines)
+                         + f"\t{line}\n.Lnext:\n\tretq\n")
+
+
+def test_shape_grid_differential():
+    """The load check admits nothing the emitter cannot render, and the
+    emitter agrees with the reference on everything it admits: each
+    sampled instruction is either refused at load by both engines, or ends
+    identically on every case (``blocks-off`` included)."""
+    admitted = 0
+    for mnemonic, texts in _grid_sample():
+        program = _grid_program(mnemonic, texts)
+        loads = []
+        for engine in ENGINES:
+            try:
+                Machine(program, engine=engine)
+                loads.append("ok")
+            except IllegalInstructionError as exc:
+                loads.append(str(exc))
+        assert _all_equal(loads), (mnemonic, texts, loads)
+        if loads[0] != "ok":
+            assert mnemonic in loads[0]
+            continue
+        admitted += 1
+        states = _end_states(program, max_instructions=200)
+        assert _all_equal(states.values()), (mnemonic, texts, states)
+    assert admitted > 300
